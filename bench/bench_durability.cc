@@ -104,8 +104,6 @@ void RunWalOverhead(benchmark::State& state, bool logged) {
       static_cast<double>(stats.snapshot_nodes_copied);
   state.counters["checkpoint_delta_bytes"] =
       static_cast<double>(stats.checkpoint_delta_bytes);
-  state.counters["mutex_evaluator_engaged"] =
-      static_cast<double>(stats.mutex_evaluator_engaged);
 }
 
 // {logged, depth, K}. The logged flag is the FIRST arg on purpose: the

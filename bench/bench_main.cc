@@ -94,11 +94,6 @@ int main(int argc, char** argv) {
     std::cerr << threads.status().ToString() << "\n";
     return 1;
   }
-  if (mmv::Result<bool> fastpath = mmv::SolverFastpathFromEnv();
-      !fastpath.ok()) {
-    std::cerr << fastpath.status().ToString() << "\n";
-    return 1;
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   std::string path = mmv::bench::SidecarPath(argc > 0 ? argv[0] : nullptr);

@@ -81,28 +81,13 @@ inline int EnvThreads() {
   return *threads;
 }
 
-/// \brief Solver fast path selected by $MMV_SOLVER_FASTPATH ("off" = the
-/// full-procedure oracle, "on" or unset = the default). Lets CI run a
-/// whole bench binary under each mode and diff the work-product counters.
-/// Unknown values abort, as for EnvJoinMode.
-inline bool EnvSolverFastpath() {
-  Result<bool> fastpath = SolverFastpathFromEnv();
-  if (!fastpath.ok()) {
-    std::fprintf(stderr, "%s\n", fastpath.status().ToString().c_str());
-    std::abort();
-  }
-  return *fastpath;
-}
-
 /// \brief Baseline options for benchmarks: default fixpoint knobs with the
-/// join / plan modes, thread count and solver fast path taken from the
-/// environment.
+/// join / plan modes and thread count taken from the environment.
 inline FixpointOptions DefaultOptions() {
   FixpointOptions o;
   o.join_mode = EnvJoinMode();
   o.plan_mode = EnvPlanMode();
   o.num_threads = EnvThreads();
-  o.solver.fastpath = EnvSolverFastpath();
   return o;
 }
 
@@ -158,16 +143,6 @@ inline void ExportJoinCounters(benchmark::State& state,
       static_cast<double>(stats.probe_intersections);
   state.counters["plan_cache_hits"] =
       static_cast<double>(stats.plan_cache_hits);
-  // Solver fast-path counters: strategy counters like solver_cache_hits —
-  // never compared across modes (a fastpath=off replay has all three at
-  // zero by construction; naive/indexed differ through DerivePlanned's
-  // bypass). Exported so a solver-bound case shows its sat_rejects > 0.
-  state.counters["sat_prechecks"] =
-      static_cast<double>(stats.solver.sat_prechecks);
-  state.counters["sat_rejects"] =
-      static_cast<double>(stats.solver.sat_rejects);
-  state.counters["reject_cache_hits"] =
-      static_cast<double>(stats.solver.reject_cache_hits);
   // Fan-out shape counters: thread-count-DEPENDENT by design, so sidecar
   // diffs across thread counts must not compare them (see
   // scripts/compare_bench_modes.py) — they are exported to show how much

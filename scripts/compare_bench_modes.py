@@ -1,9 +1,7 @@
 #!/usr/bin/env python3
 """Diffs the derived-atom counters of two or more bench JSON sidecars.
 
-Usage: compare_bench_modes.py [--require-zero COUNTER ...]
-           [--require-nonzero COUNTER ...]
-           REFERENCE.json OTHER.json [OTHER2.json ...]
+Usage: compare_bench_modes.py REFERENCE.json OTHER.json [OTHER2.json ...]
 
 Each input is the JSONL sidecar a bench binary writes (one object per case:
 name, real_ms, counters). The indexed join pipeline must derive EXACTLY the
@@ -15,20 +13,6 @@ both files the work-product counters must match bit-for-bit. The first
 file is the reference; every other file is diffed against it. Timing
 fields are ignored. Exits non-zero on any mismatch, and when nothing
 comparable was found (a silently empty comparison would defeat the check).
-
---require-zero COUNTER (repeatable) additionally asserts the named counter
-is zero in EVERY case of EVERY sidecar that reports it — the CI gate for
-invariants like mutex_evaluator_engaged, which must never fire now that
-the standard domains evaluate thread-safely. A required-zero counter that
-no sidecar reports fails too: a filter change silently dropping the
-guarded cases would otherwise defeat the gate.
-
---require-nonzero COUNTER (repeatable) asserts the named counter is
-NONZERO in at least one case of at least one sidecar — the CI gate for
-"this machinery actually engaged" invariants like sat_rejects: the solver
-fast path must refute something on a solver-bound workload, or the whole
-tier is dead code. A counter that never appears fails for the same
-filter-drift reason as --require-zero.
 """
 
 import json
@@ -47,13 +31,6 @@ import sys
 # itself — they scale with the thread count BY DESIGN, so a 1-vs-8 sidecar
 # diff must leave them out; everything in COMPARED is a work-product
 # invariant that byte-identity guarantees across thread counts.
-# The solver fast-path counters (sat_prechecks, sat_rejects,
-# reject_cache_hits) are strategy counters in every pairing this script
-# sees: a MMV_SOLVER_FASTPATH=off replay has all three at zero by
-# construction, the naive/indexed twins diverge through DerivePlanned's
-# ground-tuple bypass (it skips the pre-join screen entirely), and a
-# parallel run drops the rejection memo per slice. They are gated with
-# --require-nonzero on solver-bound cases instead of compared.
 COMPARED = (
     "atoms_added",
     "added",
@@ -120,25 +97,7 @@ def diff(failures, label, a, b):
 
 
 def main():
-    argv = sys.argv[1:]
-    require_zero = []
-    require_nonzero = []
-    paths = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--require-zero":
-            if i + 1 >= len(argv):
-                sys.exit("--require-zero needs a counter name")
-            require_zero.append(argv[i + 1])
-            i += 2
-        elif argv[i] == "--require-nonzero":
-            if i + 1 >= len(argv):
-                sys.exit("--require-nonzero needs a counter name")
-            require_nonzero.append(argv[i + 1])
-            i += 2
-        else:
-            paths.append(argv[i])
-            i += 1
+    paths = sys.argv[1:]
     if len(paths) < 2:
         sys.exit(__doc__)
     reference_path = paths[0]
@@ -167,48 +126,6 @@ def main():
                     failures, f"{name} vs {twin} [{path}]",
                     cases[name], cases[twin]
                 )
-    # The zero gates: every sidecar, every case, no pairing involved.
-    for counter in require_zero:
-        seen = 0
-        for path, cases in [(reference_path, reference)] + others:
-            for name in sorted(cases):
-                counters = cases[name]
-                if counter in counters:
-                    seen += 1
-                    if counters[counter] != 0:
-                        failures.append(
-                            f"{name} [{path}]: {counter} ="
-                            f" {counters[counter]} (required zero)"
-                        )
-        if seen == 0:
-            failures.append(
-                f"required-zero counter {counter!r} never appeared in any"
-                " sidecar — check the bench filters"
-            )
-        compared += seen
-    # The nonzero gates: the counter must appear AND fire somewhere.
-    for counter in require_nonzero:
-        seen = 0
-        fired = 0
-        for path, cases in [(reference_path, reference)] + others:
-            for name in sorted(cases):
-                counters = cases[name]
-                if counter in counters:
-                    seen += 1
-                    if counters[counter] != 0:
-                        fired += 1
-        if seen == 0:
-            failures.append(
-                f"required-nonzero counter {counter!r} never appeared in"
-                " any sidecar — check the bench filters"
-            )
-        elif fired == 0:
-            failures.append(
-                f"required-nonzero counter {counter!r} is zero in all"
-                f" {seen} cases reporting it — the guarded machinery never"
-                " engaged"
-            )
-        compared += seen
     if failures:
         print("mode counter mismatches:")
         print("\n".join(failures))

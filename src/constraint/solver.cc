@@ -1,7 +1,6 @@
 #include "constraint/solver.h"
 
 #include "constraint/canonical.h"
-#include "constraint/reject_cache.h"
 #include "constraint/solve_cache.h"
 
 #include <algorithm>
@@ -81,21 +80,6 @@ std::string Interval::ToString() const {
 
 namespace {
 
-// Rendering of a ground domain call, shared between the per-solve
-// DcaResult cache and the cross-run RejectCache: both key on
-// "domain:function|arg|arg...". RejectCache only requires that Record and
-// Lookup agree on the rendering, but keeping one format means one helper.
-void AppendDcaCacheKey(std::string* out, const DomainCall& call,
-                       const std::vector<Value>& args) {
-  *out += call.domain;
-  *out += ':';
-  *out += call.function;
-  for (const Value& v : args) {
-    *out += '|';
-    *out += v.ToString();
-  }
-}
-
 bool EvalCmp(double a, CmpOp op, double b) {
   switch (op) {
     case CmpOp::kLt:
@@ -172,14 +156,12 @@ class ConjunctionState {
  public:
   ConjunctionState(DcaEvaluator* evaluator, bool evaluate_dca,
                    SolveStats* stats, Status* last_status,
-                   std::unordered_map<std::string, DcaResult>* dca_cache,
-                   RejectCache* reject_cache)
+                   std::unordered_map<std::string, DcaResult>* dca_cache)
       : evaluator_(evaluator),
         evaluate_dca_(evaluate_dca),
         stats_(stats),
         last_status_(last_status),
-        dca_cache_(dca_cache),
-        reject_cache_(reject_cache) {}
+        dca_cache_(dca_cache) {}
 
   SolveOutcome Run(const std::vector<Primitive>& prims) {
     stats_->literals_processed += static_cast<int64_t>(prims.size());
@@ -475,13 +457,6 @@ class ConjunctionState {
       if (x.is_value) {
         bool member = std::find(res.values.begin(), res.values.end(),
                                 x.value) != res.values.end();
-        // A decided ground membership is a pure fact about the external
-        // database at the current epoch — record it (whatever the literal's
-        // sign or outcome) so later satisfiability screens can refute
-        // matching literals without a full solve.
-        if (reject_cache_ != nullptr) {
-          reject_cache_->Record(x.value, key, member);
-        }
         return member == positive ? ProcessResult::kResolved
                                   : ProcessResult::kUnsat;
       }
@@ -507,9 +482,6 @@ class ConjunctionState {
     if (x.is_value) {
       bool member =
           x.value.is_numeric() && res.interval.Contains(x.value.numeric());
-      if (reject_cache_ != nullptr) {
-        reject_cache_->Record(x.value, key, member);
-      }
       return member == positive ? ProcessResult::kResolved
                                 : ProcessResult::kUnsat;
     }
@@ -529,8 +501,13 @@ class ConjunctionState {
 
   static std::string MakeCacheKey(const DomainCall& call,
                                   const std::vector<Value>& args) {
-    std::string key;
-    AppendDcaCacheKey(&key, call, args);
+    std::string key = call.domain;
+    key += ':';
+    key += call.function;
+    for (const Value& v : args) {
+      key += '|';
+      key += v.ToString();
+    }
     return key;
   }
 
@@ -662,7 +639,6 @@ class ConjunctionState {
   SolveStats* stats_;
   Status* last_status_;
   std::unordered_map<std::string, DcaResult>* dca_cache_;
-  RejectCache* reject_cache_;  ///< membership recording sink; may be null
 
   std::unordered_map<VarId, VarId> parent_;
   std::unordered_map<VarId, ClassInfo> classes_;
@@ -681,7 +657,7 @@ SolveOutcome Solver::SolveConjunctionWithSplits(
   if (--(*budget) < 0) return SolveOutcome::kSatDeferred;
   stats_.choice_branches++;
   ConjunctionState state(evaluator_, options_.evaluate_dca, &stats_,
-                         &last_status_, cache, options_.reject_cache);
+                         &last_status_, cache);
   SolveOutcome o = state.Run(*prims);
   if (o != SolveOutcome::kSatDeferred || !options_.split_candidates) {
     return o;
@@ -711,13 +687,6 @@ SolveOutcome Solver::Solve(const Constraint& c) {
   stats_.solve_calls++;
   if (c.is_false()) return SolveOutcome::kUnsat;
   if (c.is_true()) return SolveOutcome::kSat;
-  // Satisfiability fast path: the linear screen runs BEFORE the memo
-  // lookup — a rejection skips even the canonical-key rendering, and the
-  // screen is sound for rejection only, so outcomes are unchanged.
-  if (options_.fastpath &&
-      TestSatisfiability(c) == SolveOutcome::kUnsat) {
-    return SolveOutcome::kUnsat;
-  }
   if (options_.cache == nullptr) return SolveUncached(c);
   CanonicalKey key = CanonicalConstraintKey(c, options_.cache->scratch());
   if (const SolveOutcome* hit = options_.cache->Lookup(key)) {
@@ -797,254 +766,13 @@ SolveOutcome Solver::SolveUncached(const Constraint& c) {
   return SolveOutcome::kUnsat;
 }
 
-// ---- satisfiability fast path ---------------------------------------------
-//
-// The screens below mirror a strict SUBSET of the full decision procedure:
-// every rejection corresponds to a contradiction the union-find pipeline
-// would also find among the same literals, so `screen rejects` implies
-// `Solve returns kUnsat`. Anything the full solver merely defers (var-var
-// comparisons, unevaluated DCA-atoms, not-blocks) the screens skip — a
-// budget-starved or deferring Solve must never be out-rejected.
-
-namespace {
-inline uint64_t ScreenVarKey(uint32_t scope, VarId v) {
-  return (static_cast<uint64_t>(scope) << 32) | static_cast<uint32_t>(v);
-}
-}  // namespace
-
-void Solver::ScreenReset() {
-  screen_bound_.clear();
-  screen_intervals_.clear();
-}
-
-const Value* Solver::ScreenResolve(uint32_t scope, const Term& t) const {
-  if (t.is_const()) return &t.constant();
-  auto it = screen_bound_.find(ScreenVarKey(scope, t.var()));
-  return it == screen_bound_.end() ? nullptr : it->second;
-}
-
-// One equality edge; true on a definite conflict. There is no union-find
-// here: an edge whose sides both resolve must agree, an edge with exactly
-// one resolved side binds the other, and a var-var edge is skipped —
-// callers run the eq passes twice (bindings only grow) so a binding
-// discovered late still propagates one hop. Everything a binding derives
-// is entailed by the equalities alone, and the full solver's pass-1
-// union-find derives every such entailment, so each conflict found here is
-// found there too.
-bool Solver::ScreenEqPair(uint32_t scope_l, const Term& l, uint32_t scope_r,
-                          const Term& r) {
-  const Value* lv = ScreenResolve(scope_l, l);
-  const Value* rv = ScreenResolve(scope_r, r);
-  if (lv != nullptr && rv != nullptr) return !(*lv == *rv);
-  if (lv != nullptr && r.is_var()) {
-    screen_bound_.emplace(ScreenVarKey(scope_r, r.var()), lv);
-  } else if (rv != nullptr && l.is_var()) {
-    screen_bound_.emplace(ScreenVarKey(scope_l, l.var()), rv);
-  }
-  return false;
-}
-
-bool Solver::ScreenEq(const Constraint& c, uint32_t scope) {
-  for (const Primitive& p : c.prims()) {
-    if (p.kind != PrimKind::kEq) continue;
-    if (ScreenEqPair(scope, p.lhs, scope, p.rhs)) return true;
-  }
-  return false;
-}
-
-// Deterministic non-eq screens (disequalities, comparisons). Mirrors
-// ProcessNeq / ProcessCmp on the resolvable cases only; DCA literals are
-// screened separately (ScreenDca) AFTER every deterministic screen, so the
-// deterministic rejection count never depends on memo contents.
-bool Solver::ScreenRest(const Constraint& c, uint32_t scope) {
-  for (const Primitive& p : c.prims()) {
-    switch (p.kind) {
-      case PrimKind::kEq:
-      case PrimKind::kIn:
-      case PrimKind::kNotIn:
-        break;
-      case PrimKind::kNeq: {
-        const Value* lv = ScreenResolve(scope, p.lhs);
-        const Value* rv = ScreenResolve(scope, p.rhs);
-        if (lv != nullptr && rv != nullptr && *lv == *rv) return true;
-        // X != X: the full solver derefs both sides to one class root.
-        if (lv == nullptr && rv == nullptr && p.lhs.is_var() &&
-            p.rhs.is_var() && p.lhs.var() == p.rhs.var()) {
-          return true;
-        }
-        break;
-      }
-      case PrimKind::kCmp: {
-        const Value* lv = ScreenResolve(scope, p.lhs);
-        const Value* rv = ScreenResolve(scope, p.rhs);
-        if (lv != nullptr && rv != nullptr) {
-          if (!lv->is_numeric() || !rv->is_numeric()) return true;
-          if (!EvalCmp(lv->numeric(), p.op, rv->numeric())) return true;
-          break;
-        }
-        if (lv == nullptr && rv == nullptr) break;  // var-var: deferred
-        const Value* val = lv != nullptr ? lv : rv;
-        if (!val->is_numeric()) return true;  // mirrors ProcessCmp
-        const Term& var_side = lv != nullptr ? p.rhs : p.lhs;
-        CmpOp op = lv != nullptr ? SwapCmp(p.op) : p.op;  // var op val
-        Interval restriction = CmpToInterval(op, val->numeric());
-        // Per-variable intervals: coarser than the solver's per-CLASS
-        // intervals, so an empty intersection here is empty there too.
-        auto [it, fresh] = screen_intervals_.emplace(
-            ScreenVarKey(scope, var_side.var()), restriction);
-        if (!fresh && !it->second.IntersectWith(restriction)) return true;
-        break;
-      }
-    }
-  }
-  return false;
-}
-
-// Memo-backed DCA screen: a literal in(x, call) / not in(x, call) whose
-// lhs and call arguments all resolve is refuted when the RejectCache holds
-// the opposite membership. Records only exist for calls the full solver
-// actually decided (same epoch, same evaluator), so the full solver's
-// ProcessDca reaches the same membership and returns kUnsat.
-bool Solver::ScreenDca(const Constraint& c, uint32_t scope) {
-  if (options_.reject_cache == nullptr || evaluator_ == nullptr ||
-      !options_.evaluate_dca) {
-    return false;
-  }
-  for (const Primitive& p : c.prims()) {
-    if (p.kind != PrimKind::kIn && p.kind != PrimKind::kNotIn) continue;
-    const Value* x = ScreenResolve(scope, p.lhs);
-    if (x == nullptr) continue;
-    screen_args_.clear();
-    bool ground = true;
-    for (const Term& t : p.call.args) {
-      const Value* v = ScreenResolve(scope, t);
-      if (v == nullptr) {
-        ground = false;
-        break;
-      }
-      screen_args_.push_back(*v);
-    }
-    if (!ground) continue;
-    screen_key_.clear();
-    AppendDcaCacheKey(&screen_key_, p.call, screen_args_);
-    const bool* member = options_.reject_cache->Lookup(*x, screen_key_);
-    if (member != nullptr && *member != (p.kind == PrimKind::kIn)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-SolveOutcome Solver::TestSatisfiability(const Constraint& c) {
-  stats_.sat_prechecks++;
-  if (c.is_false()) {
-    stats_.sat_rejects++;
-    return SolveOutcome::kUnsat;
-  }
-  if (c.is_true()) return SolveOutcome::kSat;
-  // A budget-starved full Solve reports kSatDeferred for EVERY conjunction
-  // — with no oracle rejection to mirror, the screen must stand down.
-  if (options_.max_choice_branches < 1) return SolveOutcome::kSatDeferred;
-  ScreenReset();
-  if (ScreenEq(c, 0) || ScreenEq(c, 0) || ScreenRest(c, 0)) {
-    stats_.sat_rejects++;
-    return SolveOutcome::kUnsat;
-  }
-  if (ScreenDca(c, 0)) {
-    stats_.reject_cache_hits++;
-    return SolveOutcome::kUnsat;
-  }
-  return SolveOutcome::kSatDeferred;
-}
-
-bool Solver::RejectJoin(const Constraint& clause_constraint,
-                        const std::vector<JoinComponent>& body) {
-  if (!options_.fastpath || options_.max_choice_branches < 1) return false;
-  // Malformed joins (arity mismatch) yield NO verdict: the executor's slow
-  // path owns that error, and a screen rejection would silently mask it.
-  for (const JoinComponent& comp : body) {
-    if (comp.inst_args->size() != comp.pattern->size()) return false;
-  }
-  stats_.sat_prechecks++;
-  // A bottom component makes the whole assembled conjunction false
-  // (Constraint::AndWith propagates the marker), which T_P prunes.
-  if (clause_constraint.is_false()) {
-    stats_.sat_rejects++;
-    return true;
-  }
-  for (const JoinComponent& comp : body) {
-    if (comp.inst_constraint->is_false()) {
-      stats_.sat_rejects++;
-      return true;
-    }
-  }
-  ScreenReset();
-  // Equality passes over every eq source of the assembled constraint: the
-  // clause constraint (scope 0), each instance constraint (scope i+1 —
-  // modelling the fresh renaming that standardizes instances apart), and
-  // the argument-pattern equations the executor would add. Two rounds, so
-  // a binding discovered in one source propagates across the others — in
-  // particular a clause variable double-bound through two DIFFERENT
-  // instances' ground arguments is the canonical cross-instance mismatch.
-  for (int pass = 0; pass < 2; ++pass) {
-    if (ScreenEq(clause_constraint, 0)) {
-      stats_.sat_rejects++;
-      return true;
-    }
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (ScreenEq(*body[i].inst_constraint,
-                   static_cast<uint32_t>(i) + 1)) {
-        stats_.sat_rejects++;
-        return true;
-      }
-    }
-    for (size_t i = 0; i < body.size(); ++i) {
-      const JoinComponent& comp = body[i];
-      for (size_t k = 0; k < comp.pattern->size(); ++k) {
-        if (ScreenEqPair(static_cast<uint32_t>(i) + 1, (*comp.inst_args)[k],
-                         0, (*comp.pattern)[k])) {
-          stats_.sat_rejects++;
-          return true;
-        }
-      }
-    }
-  }
-  if (ScreenRest(clause_constraint, 0)) {
-    stats_.sat_rejects++;
-    return true;
-  }
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (ScreenRest(*body[i].inst_constraint,
-                   static_cast<uint32_t>(i) + 1)) {
-      stats_.sat_rejects++;
-      return true;
-    }
-  }
-  // Memo refutations last, counted apart: the deterministic reject count
-  // must not depend on whether this pass had a reject cache (parallel
-  // slices run without one).
-  if (ScreenDca(clause_constraint, 0)) {
-    stats_.reject_cache_hits++;
-    return true;
-  }
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (ScreenDca(*body[i].inst_constraint, static_cast<uint32_t>(i) + 1)) {
-      stats_.reject_cache_hits++;
-      return true;
-    }
-  }
-  return false;
-}
-
 Result<std::vector<VarDomainInfo>> Solver::Analyze(const Constraint& c) {
   if (c.is_false()) {
     return Status::InvalidArgument("Analyze called on false constraint");
   }
   std::unordered_map<std::string, DcaResult> cache;
-  // Analyze runs outside the maintenance epoch-sync discipline (query
-  // enumeration), so it neither records into nor consults the reject memo.
   ConjunctionState state(evaluator_, options_.evaluate_dca, &stats_,
-                         &last_status_, &cache, nullptr);
+                         &last_status_, &cache);
   SolveOutcome o = state.Run(c.prims());
   if (o == SolveOutcome::kUnsat) {
     return Status::InvalidArgument(

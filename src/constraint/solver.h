@@ -14,9 +14,7 @@
 #ifndef MMV_CONSTRAINT_SOLVER_H_
 #define MMV_CONSTRAINT_SOLVER_H_
 
-#include <cassert>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -133,53 +131,13 @@ class DcaEvaluator {
   /// external serialization, provided no writer mutates the backing state
   /// for the duration (the same single-writer contract StateEpoch already
   /// polices: parallel passes capture the epoch up front and fail loudly
-  /// on a mismatch). Defaults to false — unknown evaluators keep the
-  /// serialized MutexDcaEvaluator path; DomainManager reports true when
-  /// every registered domain is a pure reader and its call cache is off.
+  /// on a mismatch). Defaults to false — engines run sequentially over
+  /// evaluators that do not opt in; DomainManager reports true when every
+  /// registered domain is a pure reader and its call cache is off.
   virtual bool ConcurrentReadSafe() const { return false; }
 
  private:
   uint64_t instance_id_;
-};
-
-/// \brief Serializes Evaluate() calls on a wrapped evaluator through a
-/// mutex, so per-thread Solvers of a parallel pass can share one stateful
-/// evaluator (domain managers memoize lookups internally and are not
-/// thread-safe). Outcomes are unchanged: the underlying evaluator's answers
-/// may not depend on call order within one state epoch — the same contract
-/// solver memos already rely on.
-///
-/// This is the FALLBACK path for evaluators that do not report
-/// ConcurrentReadSafe(): parallel passes over a read-safe evaluator (the
-/// common DomainManager configuration) bypass the wrapper entirely. Once
-/// every evaluator in the tree answers the ConcurrentReadSafe() contract
-/// honestly this class can be retired.
-class MutexDcaEvaluator : public DcaEvaluator {
- public:
-  explicit MutexDcaEvaluator(DcaEvaluator* inner) : inner_(inner) {
-    // Wrapping a read-safe evaluator is never wrong, but it serializes a
-    // fan-out that could run lock-free — every engine checks
-    // ConcurrentReadSafe() before falling back here, so reaching this
-    // line with a read-safe inner is a missed check on the retirement
-    // path (tracked by the mutex_evaluator_engaged counters).
-    assert(inner == nullptr || !inner->ConcurrentReadSafe());
-  }
-
-  Result<DcaResult> Evaluate(const std::string& domain,
-                             const std::string& function,
-                             const std::vector<Value>& args) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return inner_->Evaluate(domain, function, args);
-  }
-
-  int64_t StateEpoch() const override { return inner_->StateEpoch(); }
-
-  /// The whole point of the wrapper: safe to share across threads.
-  bool ConcurrentReadSafe() const override { return true; }
-
- private:
-  DcaEvaluator* inner_;
-  std::mutex mu_;
 };
 
 /// \brief Outcome of a satisfiability check.
@@ -202,17 +160,6 @@ struct SolveStats {
   int64_t choice_branches = 0;
   int64_t literals_processed = 0;
   int64_t cache_hits = 0;  ///< Solve calls answered by the SolveCache memo
-  int64_t sat_prechecks = 0;  ///< TestSatisfiability / RejectJoin screens run
-  int64_t sat_rejects = 0;    ///< screens that refuted deterministically
-                              ///  (no memo consulted for the verdict)
-  int64_t reject_cache_hits = 0;  ///< screens refuted by a RejectCache
-                                  ///  record (memo-dependent, like
-                                  ///  cache_hits). All three are STRATEGY
-                                  ///  counters: like cache_hits they stay
-                                  ///  out of cross-mode byte-identity
-                                  ///  comparisons — only the work product
-                                  ///  (views, supports, unsat_pruned...)
-                                  ///  is mode-invariant.
 
   SolveStats& operator+=(const SolveStats& other) {
     solve_calls += other.solve_calls;
@@ -220,9 +167,6 @@ struct SolveStats {
     choice_branches += other.choice_branches;
     literals_processed += other.literals_processed;
     cache_hits += other.cache_hits;
-    sat_prechecks += other.sat_prechecks;
-    sat_rejects += other.sat_rejects;
-    reject_cache_hits += other.reject_cache_hits;
     return *this;
   }
 };
@@ -239,7 +183,6 @@ struct VarDomainInfo {
 };
 
 class SolveCache;
-class RejectCache;
 
 /// \brief Tuning knobs for the solver.
 struct SolverOptions {
@@ -257,22 +200,6 @@ struct SolverOptions {
   /// evaluator state and solver options stay fixed for the cache lifetime;
   /// every Solver sharing one cache must use identical options.
   SolveCache* cache = nullptr;
-  /// Satisfiability fast path: run the linear TestSatisfiability screen
-  /// before the full decision procedure (and let the planned executor
-  /// screen whole join candidates via RejectJoin before assembling their
-  /// constraints). Sound for rejection only — the screen refutes a
-  /// constraint only when the full Solve would return kUnsat — so every
-  /// outcome, view and work-product counter is identical with the flag
-  /// off; off ($MMV_SOLVER_FASTPATH=off) keeps the slow path as the
-  /// differential oracle.
-  bool fastpath = true;
-  /// Optional pairwise rejection memo (constraint/reject_cache.h). Not
-  /// owned; same state-scoping contract as `cache`. Ground DCA
-  /// memberships decided inside full Solves are recorded here, and
-  /// TestSatisfiability consults the records AFTER its deterministic
-  /// screens. Null disables recording and lookup (parallel passes run
-  /// null — the cache is not thread-safe).
-  RejectCache* reject_cache = nullptr;
 };
 
 /// \brief Satisfiability engine for constraints.
@@ -285,47 +212,8 @@ class Solver {
       : evaluator_(evaluator), options_(options) {}
 
   /// \brief Decides satisfiability of \p c. When options.cache is set, a
-  /// canonical-form memo answers repeated shapes without re-solving. With
-  /// options.fastpath (default), TestSatisfiability screens the constraint
-  /// first; a screen rejection returns kUnsat without canonicalizing,
-  /// memo-probing or running the decision procedure.
+  /// canonical-form memo answers repeated shapes without re-solving.
   SolveOutcome Solve(const Constraint& c);
-
-  /// \brief Linear may-satisfiability screen, sound for REJECTION only:
-  /// kUnsat is returned only when the full Solve would also return kUnsat
-  /// (bottom/top literals, ground comparisons, trivially contradictory
-  /// conjuncts, empty interval screens, and — after every deterministic
-  /// screen — RejectCache membership refutations). Anything it cannot
-  /// refute is kSatDeferred ("may be satisfiable": no verdict), except the
-  /// trivially-true constraint, which is kSat. No union-find, no
-  /// allocation beyond amortized member scratch, negated blocks ignored
-  /// (the positive part alone refuting suffices). Requires
-  /// options.max_choice_branches >= 1 to reject — a budget-starved full
-  /// Solve reports kSatDeferred for everything, and the screen must never
-  /// be stricter than its oracle.
-  SolveOutcome TestSatisfiability(const Constraint& c);
-
-  /// \brief One body position of a join candidate, pre-rename: the chosen
-  /// instance's arguments and constraint, and the clause body atom's
-  /// argument pattern they will be equated with.
-  struct JoinComponent {
-    const TermVec* inst_args = nullptr;
-    const Constraint* inst_constraint = nullptr;
-    const TermVec* pattern = nullptr;
-  };
-
-  /// \brief Screens a whole join candidate BEFORE clause rename and
-  /// constraint assembly: the assembled constraint would be
-  /// clause_constraint ^ (each instance constraint, standardized apart) ^
-  /// (inst_args[k] = pattern[k] for every position) — RejectJoin runs the
-  /// TestSatisfiability screens over exactly that conjunction, keeping
-  /// each component's variables in a private scope to model the fresh
-  /// renaming. Returns true only when the assembled constraint is
-  /// provably unsatisfiable (the executor then prunes without renaming,
-  /// simplifying or solving); false is no verdict. Components with an
-  /// arity mismatch yield no verdict — the slow path owns that error.
-  bool RejectJoin(const Constraint& clause_constraint,
-                  const std::vector<JoinComponent>& body);
 
   /// \brief Propagates the positive primitives of \p c and reports the
   /// per-class domains (for enumeration). Fails when the positive part is
@@ -345,30 +233,10 @@ class Solver {
       std::vector<Primitive>* prims, int64_t* budget,
       std::unordered_map<std::string, DcaResult>* cache);
 
-  // ---- TestSatisfiability / RejectJoin internals ----
-  // Variables are keyed by (scope << 32) | uint32(var): scope 0 is the
-  // clause / the screened constraint, scope i+1 is join component i —
-  // modelling the fresh renaming that standardizes components apart.
-  bool ScreenEq(const Constraint& c, uint32_t scope);
-  bool ScreenEqPair(uint32_t scope_l, const Term& l, uint32_t scope_r,
-                    const Term& r);
-  bool ScreenRest(const Constraint& c, uint32_t scope);
-  bool ScreenDca(const Constraint& c, uint32_t scope);
-  const Value* ScreenResolve(uint32_t scope, const Term& t) const;
-  void ScreenReset();
-
   DcaEvaluator* evaluator_;
   SolverOptions options_;
   Status last_status_;
   SolveStats stats_;
-
-  // Screen scratch (amortized allocation-free across calls). Bindings map
-  // packed (scope, var) keys to values owned by the screened terms, which
-  // outlive the screen call.
-  std::unordered_map<uint64_t, const Value*> screen_bound_;
-  std::unordered_map<uint64_t, Interval> screen_intervals_;
-  std::vector<Value> screen_args_;  // ground DCA call args
-  std::string screen_key_;          // rendered DCA call key
 };
 
 }  // namespace mmv

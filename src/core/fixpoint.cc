@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "constraint/canonical.h"
-#include "constraint/reject_cache.h"
 #include "constraint/simplify.h"
 #include "core/thread_pool.h"
 #include "plan/partition.h"
@@ -284,28 +283,6 @@ class ClauseRunner {
           std::to_string(c.number));
     }
     stats_->derivations_attempted++;
-    // Pre-rename join screen (T_P only — W_P keeps unsolvable atoms): a
-    // provably-unsatisfiable candidate is pruned before the clause rename,
-    // per-instance standardization and constraint assembly below ever
-    // allocate. Sound for rejection only, so the pruned set — and
-    // unsat_pruned, which the slow path increments for the same candidates
-    // via simplify/Solve — is identical with the fast path off. Candidates
-    // with an arity mismatch get no verdict (RejectJoin screens that
-    // itself), keeping the error path below intact.
-    if (options_.op == OperatorKind::kTp && options_.solver.fastpath &&
-        !chosen.empty()) {
-      join_components_.clear();
-      join_components_.reserve(chosen.size());
-      for (size_t i = 0; i < chosen.size(); ++i) {
-        const ViewAtom& inst = view_.atoms()[chosen[i]];
-        join_components_.push_back(
-            {&inst.args, &inst.constraint, &c.body[i].args});
-      }
-      if (solver_->RejectJoin(c.constraint, join_components_)) {
-        stats_->unsat_pruned++;
-        return Status::OK();
-      }
-    }
     Clause renamed = c.Rename(factory_);
     Constraint acc = renamed.constraint;
     std::vector<Support> children;
@@ -669,8 +646,6 @@ class ClauseRunner {
                                      // feedback for the cache
   bool feedback_due_ = false;
   VarSet var_set_;  // scratch for Derive
-  std::vector<Solver::JoinComponent> join_components_;  // scratch for the
-                                                        // pre-rename screen
 };
 
 // One clause pass's staged output under parallel execution.
@@ -795,8 +770,7 @@ class Engine {
         evaluator_(evaluator),
         options_(options),
         stats_(stats),
-        solver_(evaluator, SolverOptionsFor(options, &local_cache_,
-                                            &local_reject_cache_)),
+        solver_(evaluator, SolverOptionsFor(options, &local_cache_)),
         factory_(program.factory()),
         // Early ground rejection is behavior-preserving only when the
         // engine provably drops statically contradictory joins: simplify
@@ -806,7 +780,12 @@ class Engine {
         // could legitimately keep such an atom — fall back to the oracle.
         indexed_(options.join_mode == JoinMode::kIndexed &&
                  options.simplify && options.prune_static_contradictions),
-        parallel_(indexed_ && options.num_threads > 1),
+        // Workers share the caller's evaluator lock-free, so only an
+        // evaluator that vouches for concurrent pure reads may fan out;
+        // any other runs sequentially (results are the threads=1 oracle's
+        // by contract either way).
+        parallel_(indexed_ && options.num_threads > 1 &&
+                  (evaluator == nullptr || evaluator->ConcurrentReadSafe())),
         local_plans_(options.plan_mode),
         plans_(plan::PlanCache::Select(options.plan_cache, options.plan_mode,
                                        &local_plans_)),
@@ -880,20 +859,10 @@ class Engine {
 
  private:
   static SolverOptions SolverOptionsFor(const FixpointOptions& o,
-                                        SolveCache* local,
-                                        RejectCache* local_reject) {
+                                        SolveCache* local) {
     SolverOptions s = o.solver;
     if (o.join_mode == JoinMode::kIndexed && s.cache == nullptr) {
       s.cache = o.solve_cache != nullptr ? o.solve_cache : local;
-    }
-    // The rejection memo rides the same wiring: caller-shared when
-    // provided, run-local otherwise, and only where the fast path can
-    // consult it. Off-mode runs get neither recording nor lookups, so the
-    // oracle replay never touches memo state.
-    if (o.join_mode == JoinMode::kIndexed && s.fastpath &&
-        s.reject_cache == nullptr) {
-      s.reject_cache =
-          o.reject_cache != nullptr ? o.reject_cache : local_reject;
     }
     return s;
   }
@@ -1087,26 +1056,14 @@ class Engine {
       }
     }
 
-    // Thread-safe domain path: when the evaluator vouches for concurrent
-    // pure reads the workers call it directly — lock-free — and the
-    // epoch check after the fan-out polices the single-writer contract
-    // that claim rests on. Anything else keeps the serialized
-    // MutexDcaEvaluator fallback.
-    DcaEvaluator* worker_evaluator = nullptr;
+    // Thread-safe domain path: the evaluator vouched for concurrent pure
+    // reads (parallel_), so the workers call it directly — lock-free — and
+    // the epoch check after the fan-out polices the single-writer contract
+    // that claim rests on.
     int64_t epoch_before = 0;
     if (evaluator_ != nullptr) {
       epoch_before = evaluator_->StateEpoch();
-      if (evaluator_->ConcurrentReadSafe()) {
-        worker_evaluator = evaluator_;
-        stats_->evaluator_clones += static_cast<int64_t>(slices.size());
-      } else {
-        if (locked_evaluator_ == nullptr) {
-          locked_evaluator_ = std::make_unique<MutexDcaEvaluator>(evaluator_);
-        }
-        worker_evaluator = locked_evaluator_.get();
-        stats_->mutex_evaluator_engaged +=
-            static_cast<int64_t>(slices.size());
-      }
+      stats_->evaluator_clones += static_cast<int64_t>(slices.size());
     }
 
     std::vector<SliceOutcome> outcomes(slices.size());
@@ -1124,10 +1081,7 @@ class Engine {
       // here; SolveCache is not synchronized.
       SolverOptions solver_options = options_.solver;
       solver_options.cache = s.cache;
-      // Same rule for the rejection memo: RejectCache is not synchronized,
-      // so parallel slices run without one (no lookups, no recording).
-      solver_options.reject_cache = nullptr;
-      Solver solver(worker_evaluator, solver_options);
+      Solver solver(evaluator_, solver_options);
       VarFactory factory;
       factory.ReserveAbove(kStagingVarBase);
       StagingSink sink(options_, view_.size());
@@ -1270,7 +1224,6 @@ class Engine {
   FixpointOptions options_;
   FixpointStats* stats_;
   SolveCache local_cache_;  // used when kIndexed and no caller-shared cache
-  RejectCache local_reject_cache_;  // ditto, for the pairwise rejection memo
   Solver solver_;
   VarFactory factory_;
   const bool indexed_;
@@ -1290,7 +1243,6 @@ class Engine {
   std::map<std::tuple<size_t, size_t, int>, std::unique_ptr<SolveCache>>
       slice_caches_;  // per (clause, pivot, shard), whole run
   std::vector<std::shared_ptr<const plan::ClausePlan>> plans_prefetched_;
-  std::unique_ptr<MutexDcaEvaluator> locked_evaluator_;
   SolveStats parallel_solver_;  // workers' solver counters, merge order
 };
 
@@ -1384,25 +1336,6 @@ Result<int> ThreadsFromEnv() {
   Result<int> parsed = ParseThreads(threads);
   if (!parsed.ok()) {
     return Status::InvalidArgument("$MMV_THREADS: " +
-                                   parsed.status().message());
-  }
-  return parsed;
-}
-
-Result<bool> ParseSolverFastpath(std::string_view text) {
-  if (text == "on") return true;
-  if (text == "off") return false;
-  return Status::InvalidArgument("unknown solver fastpath mode '" +
-                                 std::string(text) +
-                                 "' (expected 'on' or 'off')");
-}
-
-Result<bool> SolverFastpathFromEnv() {
-  const char* mode = std::getenv("MMV_SOLVER_FASTPATH");
-  if (mode == nullptr || *mode == '\0') return true;
-  Result<bool> parsed = ParseSolverFastpath(mode);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("$MMV_SOLVER_FASTPATH: " +
                                    parsed.status().message());
   }
   return parsed;

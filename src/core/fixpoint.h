@@ -114,9 +114,10 @@ struct FixpointOptions {
   /// (Fresh-variable NUMBERING and solver-memo hit counts may differ —
   /// the same non-contract PR-3 carved out between join modes. Truncated
   /// runs — max_atoms / max_iterations — may cut off at different atoms.)
-  /// Parallel execution requires the kIndexed planned executor;
-  /// naive-join or fallback configurations run sequentially whatever this
-  /// value says.
+  /// Parallel execution requires the kIndexed planned executor and an
+  /// evaluator that is null or reports ConcurrentReadSafe(); naive-join,
+  /// non-read-safe or fallback configurations run sequentially whatever
+  /// this value says.
   int num_threads = 1;
   /// Clause-plan ordering strategy of the kIndexed executor. kOrdered
   /// selectivity-orders body atoms per seminaive pivot and picks the
@@ -140,18 +141,7 @@ struct FixpointOptions {
   /// keep it scoped to one external-database state (see solve_cache.h).
   /// When null, the engine memoizes within the single run.
   SolveCache* solve_cache = nullptr;
-  /// Optional pairwise rejection memo shared across engine runs (kIndexed
-  /// only), the fast-path sibling of solve_cache: ground DCA memberships
-  /// decided inside full Solves are recorded and later screens refute
-  /// matching literals without solving. Same state-scoping contract as
-  /// solve_cache (maint::ApplyBatch epoch-syncs both side by side). When
-  /// null, the engine memoizes within the single run.
-  RejectCache* reject_cache = nullptr;
-  /// Solver configuration for T_P solvability checks. solver.fastpath
-  /// (default on; $MMV_SOLVER_FASTPATH=off in the benches/tests) gates the
-  /// satisfiability pre-check AND the executor's pre-rename join screen —
-  /// both sound for rejection only, so views, support multisets and
-  /// work-product counters are byte-identical either way.
+  /// Solver configuration for T_P solvability checks.
   SolverOptions solver;
 };
 
@@ -180,14 +170,8 @@ struct FixpointStats {
                                   ///  own tasks (0 when sequential)
   int64_t partition_skipped_small = 0;  ///< shardable pivot windows left
                                         ///  whole: below the size threshold
-  int64_t evaluator_clones = 0;   ///< tasks served by the lock-free
-                                  ///  concurrent-read evaluator path
-                                  ///  instead of MutexDcaEvaluator
-  int64_t mutex_evaluator_engaged = 0;  ///< tasks that fell back to the
-                                        ///  serialized MutexDcaEvaluator
-                                        ///  wrapper (retirement-path
-                                        ///  telemetry: 0 for every
-                                        ///  read-safe evaluator)
+  int64_t evaluator_clones = 0;   ///< parallel tasks that share the
+                                  ///  caller's concurrent-read evaluator
   bool truncated = false;         ///< hit max_iterations / max_atoms
   SolveStats solver;              ///< aggregated solver counters
                                   ///  (solver.cache_hits: memo hits)
@@ -260,16 +244,6 @@ Result<int> ParseThreads(std::string_view text);
 /// sequential engine); any non-numeric or non-positive value is an
 /// InvalidArgument error.
 Result<int> ThreadsFromEnv();
-
-/// \brief Parses a solver fast-path mode: "on" or "off". Off keeps the
-/// full decision procedure as the differential oracle.
-Result<bool> ParseSolverFastpath(std::string_view text);
-
-/// \brief Solver fast-path mode from $MMV_SOLVER_FASTPATH. Unset/empty
-/// means on (the default); any other unknown value is an InvalidArgument
-/// error — like the mode parsers, a typo must fail loudly instead of
-/// silently benchmarking the wrong pipeline.
-Result<bool> SolverFastpathFromEnv();
 
 }  // namespace mmv
 

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "constraint/canonical.h"
-#include "constraint/reject_cache.h"
 #include "plan/plan_cache.h"
 
 namespace mmv {
@@ -173,31 +172,12 @@ Status ApplyBatch(const Program& program, View* view,
         evaluator != nullptr ? evaluator->StateEpoch() : 0);
     if (flushed) stats->solve_epoch_flushes++;
   }
-  // The pairwise rejection memo rides the identical contract: a
-  // caller-shared RejectCache survives from batch to batch and is flushed
-  // here exactly when the catalog epoch moved; absent a caller one, a
-  // batch-local memo spans this burst's delete and insert passes. Only
-  // wired when the fast path can consult it — the off-mode oracle replay
-  // runs memo-free.
-  RejectCache batch_reject_cache;
-  if (batch_options.solver.fastpath) {
-    if (batch_options.reject_cache == nullptr) {
-      batch_options.reject_cache = &batch_reject_cache;
-    }
-    bool flushed = batch_options.reject_cache->SyncEpoch(
-        evaluator != nullptr ? evaluator->instance_id() : 0,
-        evaluator != nullptr ? evaluator->StateEpoch() : 0);
-    if (flushed) stats->reject_epoch_flushes++;
-  }
   // Delete passes share the same memo (step-3 lifts and the step-4 prune
   // re-solve canonically identical constraints across runs of one burst).
   SolverOptions delete_solver = batch_options.solver;
   if (delete_solver.cache == nullptr &&
       batch_options.solve_cache != nullptr) {
     delete_solver.cache = batch_options.solve_cache;
-  }
-  if (delete_solver.fastpath && delete_solver.reject_cache == nullptr) {
-    delete_solver.reject_cache = batch_options.reject_cache;
   }
 
   // Execute maximal same-kind runs: one multi-atom StDel pass per delete
@@ -224,13 +204,9 @@ Status ApplyBatch(const Program& program, View* view,
         stats->step3_replacements += s.step3_replacements();
         stats->removed_unsolvable += s.removed_unsolvable;
         stats->plan_cache_hits += s.plan_cache_hits;
-        stats->sat_prechecks += s.solver.sat_prechecks;
-        stats->sat_rejects += s.solver.sat_rejects;
-        stats->reject_cache_hits += s.solver.reject_cache_hits;
         stats->partitions_run += s.partitions_run;
         stats->partition_skipped_small += s.partition_skipped_small;
         stats->evaluator_clones += s.evaluator_clones;
-        stats->mutex_evaluator_engaged += s.mutex_evaluator_engaged;
       } else {
         InsertStats s;
         MMV_RETURN_NOT_OK(InsertBatch(program, view, requests, evaluator,
@@ -242,16 +218,9 @@ Status ApplyBatch(const Program& program, View* view,
         stats->plan_reorders += s.plan_reorders;
         stats->probe_intersections += s.probe_intersections;
         stats->plan_cache_hits += s.plan_cache_hits;
-        stats->sat_prechecks +=
-            s.solver.sat_prechecks + s.unfold_solver.sat_prechecks;
-        stats->sat_rejects +=
-            s.solver.sat_rejects + s.unfold_solver.sat_rejects;
-        stats->reject_cache_hits +=
-            s.solver.reject_cache_hits + s.unfold_solver.reject_cache_hits;
         stats->partitions_run += s.partitions_run;
         stats->partition_skipped_small += s.partition_skipped_small;
         stats->evaluator_clones += s.evaluator_clones;
-        stats->mutex_evaluator_engaged += s.mutex_evaluator_engaged;
       }
       i = j;
     }
@@ -308,10 +277,6 @@ BatchStats& BatchStats::operator+=(const BatchStats& other) {
   probe_intersections += other.probe_intersections;
   plan_cache_hits += other.plan_cache_hits;
   solve_epoch_flushes += other.solve_epoch_flushes;
-  reject_epoch_flushes += other.reject_epoch_flushes;
-  sat_prechecks += other.sat_prechecks;
-  sat_rejects += other.sat_rejects;
-  reject_cache_hits += other.reject_cache_hits;
   epochs_published += other.epochs_published;
   snapshot_nodes_shared += other.snapshot_nodes_shared;
   snapshot_nodes_copied += other.snapshot_nodes_copied;
@@ -324,7 +289,6 @@ BatchStats& BatchStats::operator+=(const BatchStats& other) {
   partitions_run += other.partitions_run;
   partition_skipped_small += other.partition_skipped_small;
   evaluator_clones += other.evaluator_clones;
-  mutex_evaluator_engaged += other.mutex_evaluator_engaged;
   return *this;
 }
 

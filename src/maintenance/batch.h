@@ -136,15 +136,6 @@ struct BatchStats {
   int64_t plan_cache_hits = 0;      ///< plans served without compiling
   int64_t solve_epoch_flushes = 0;  ///< caller solver memo flushed because
                                     ///  the external database's epoch moved
-  int64_t reject_epoch_flushes = 0;  ///< ditto for the pairwise rejection
-                                     ///  memo (same validity contract)
-  // Solver fast path, summed over the batch's delete and insert passes.
-  // STRATEGY counters: zero with MMV_SOLVER_FASTPATH=off and excluded from
-  // every byte-identity comparison (like plan_cache_hits) — the
-  // work-product counters above are what the on/off differential pins.
-  int64_t sat_prechecks = 0;       ///< satisfiability pre-screens run
-  int64_t sat_rejects = 0;         ///< screens that refuted deterministically
-  int64_t reject_cache_hits = 0;   ///< refutations served by the memo
   // Snapshot layer.
   int64_t epochs_published = 0;     ///< view epochs published to the
                                     ///  snapshot store (1 per successful
@@ -172,10 +163,13 @@ struct BatchStats {
   int64_t partitions_run = 0;
   int64_t partition_skipped_small = 0;
   int64_t evaluator_clones = 0;
-  int64_t mutex_evaluator_engaged = 0;  ///< parallel tasks that fell back
-                                        ///  to the serialized
-                                        ///  MutexDcaEvaluator wrapper
-                                        ///  (retirement-path telemetry)
+  // Always zero: nothing writes these and operator+= does not sum them.
+  // They remain only so perfbench/main.cc, which still reports them,
+  // keeps building; they go once that reader drops them.
+  int64_t sat_prechecks = 0;
+  int64_t sat_rejects = 0;
+  int64_t reject_cache_hits = 0;
+  int64_t mutex_evaluator_engaged = 0;
 
   /// Field-wise sum — recovery accumulates one BatchStats per replayed
   /// burst into RecoveryInfo::replay_stats with this.

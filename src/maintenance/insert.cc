@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "constraint/reject_cache.h"
 #include "plan/plan_cache.h"
 
 namespace mmv {
@@ -64,7 +63,6 @@ Status InsertBatch(const Program& program, View* view,
   // database is fixed for the duration of the batch, which is exactly the
   // cache's validity contract.
   SolveCache batch_cache;
-  RejectCache batch_reject_cache;
   FixpointOptions fix_options = options;
   SolverOptions solver_options = options.solver;
   if (options.join_mode == JoinMode::kIndexed) {
@@ -73,17 +71,6 @@ Status InsertBatch(const Program& program, View* view,
     }
     if (solver_options.cache == nullptr) {
       solver_options.cache = fix_options.solve_cache;
-    }
-    // The rejection memo shares the batch-wide lifetime and validity
-    // contract of the solve cache; the fast path never consults it when
-    // disabled, so the off-mode oracle runs memo-free.
-    if (options.solver.fastpath) {
-      if (fix_options.reject_cache == nullptr) {
-        fix_options.reject_cache = &batch_reject_cache;
-      }
-      if (solver_options.reject_cache == nullptr) {
-        solver_options.reject_cache = fix_options.reject_cache;
-      }
     }
   }
   // One plan cache for the whole batch: every flushed continuation below
@@ -127,7 +114,6 @@ Status InsertBatch(const Program& program, View* view,
     stats->partitions_run += fstats.partitions_run;
     stats->partition_skipped_small += fstats.partition_skipped_small;
     stats->evaluator_clones += fstats.evaluator_clones;
-    stats->mutex_evaluator_engaged += fstats.mutex_evaluator_engaged;
     stats->unfold_solver += fstats.solver;
     stats->truncated = stats->truncated || fstats.truncated;
     flush_begin = view->size();

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <memory>
 
-#include "constraint/reject_cache.h"
 #include "constraint/simplify.h"
 #include "constraint/solve_cache.h"
 #include "core/thread_pool.h"
@@ -127,14 +126,8 @@ Status DeleteStDelBatch(const Program& program, View* view,
   // repeated subtraction shapes), and the external database is fixed for
   // the duration of the batch — the cache's validity contract.
   SolveCache batch_cache;
-  RejectCache batch_reject_cache;
   SolverOptions cached_options = solver_options;
   if (cached_options.cache == nullptr) cached_options.cache = &batch_cache;
-  // Rejection memo: same batch lifetime and validity contract. Only wired
-  // when the fast path can consult it, so off-mode runs stay memo-free.
-  if (cached_options.fastpath && cached_options.reject_cache == nullptr) {
-    cached_options.reject_cache = &batch_reject_cache;
-  }
   Solver solver(evaluator, cached_options);
   VarFactory factory = FreshFactory(program, *view, requests);
 
@@ -200,23 +193,14 @@ Status DeleteStDelBatch(const Program& program, View* view,
   std::vector<std::pair<size_t, size_t>> parents;  // scratch, reused
   std::vector<LiftItem> lift_items;                // scratch, reused
   VarSet var_set;                                  // scratch, reused
-  // Lift checks only read external state, so an evaluator that vouches
-  // for concurrent pure reads is shared lock-free across the workers;
-  // anything else keeps the serialized MutexDcaEvaluator fallback. The
-  // epoch check after each fan-out polices the single-writer contract the
-  // lock-free claim rests on.
-  std::unique_ptr<MutexDcaEvaluator> locked_evaluator;
-  DcaEvaluator* worker_evaluator = nullptr;
-  bool evaluator_direct = false;
-  if (num_threads > 1 && evaluator != nullptr) {
-    if (evaluator->ConcurrentReadSafe()) {
-      worker_evaluator = evaluator;
-      evaluator_direct = true;
-    } else {
-      locked_evaluator = std::make_unique<MutexDcaEvaluator>(evaluator);
-      worker_evaluator = locked_evaluator.get();
-    }
-  }
+  // Lift checks only read external state, so the evaluator is shared
+  // lock-free across the workers — which only an evaluator that vouches
+  // for concurrent pure reads allows; any other runs the sequential sweep.
+  // The epoch check after each fan-out polices the single-writer contract
+  // the lock-free claim rests on.
+  const int lift_threads =
+      evaluator == nullptr || evaluator->ConcurrentReadSafe() ? num_threads
+                                                              : 1;
   SolveStats parallel_solver;  // lift-check counters, apply order
   for (size_t qi = 0; qi < pout.size(); ++qi) {
     Pair pair = pout[qi];  // copy: the vector grows as we iterate
@@ -235,9 +219,9 @@ Status DeleteStDelBatch(const Program& program, View* view,
     // one per item, and parent sweeps too small to amortize the staging
     // overhead stay sequential.
     int parts = 1;
-    if (num_threads > 1 && parents.size() > 1 &&
+    if (lift_threads > 1 && parents.size() > 1 &&
         factory.issued() < kStagingVarBase / 2) {
-      parts = plan::PartitionCountFor(parents.size(), num_threads,
+      parts = plan::PartitionCountFor(parents.size(), lift_threads,
                                       /*min_per_shard=*/2);
       if (parts <= 1) stats->partition_skipped_small++;
     }
@@ -258,17 +242,14 @@ Status DeleteStDelBatch(const Program& program, View* view,
                                       plans->PlanFor(program, *clause)});
       }
       stats->partitions_run += parts;
-      if (evaluator_direct) {
+      if (evaluator != nullptr) {
         stats->evaluator_clones += static_cast<int64_t>(lift_items.size());
-      } else if (worker_evaluator != nullptr) {
-        stats->mutex_evaluator_engaged +=
-            static_cast<int64_t>(lift_items.size());
       }
       int64_t epoch_before =
           evaluator != nullptr ? evaluator->StateEpoch() : 0;
       std::vector<LiftOutcome> outcomes(lift_items.size());
       ThreadPool::Global().ParallelFor(
-          static_cast<size_t>(parts), num_threads, [&](size_t shard) {
+          static_cast<size_t>(parts), lift_threads, [&](size_t shard) {
             auto [item_begin, item_end] = plan::PartitionRange(
                 lift_items.size(), parts, static_cast<int>(shard));
             for (size_t i = item_begin; i < item_end; ++i) {
@@ -290,8 +271,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
               SolverOptions item_options = cached_options;
               item_options.cache = nullptr;  // never share a memo across
                                              // threads (not synchronized)
-              item_options.reject_cache = nullptr;  // ditto
-              Solver item_solver(worker_evaluator, item_options);
+              Solver item_solver(evaluator, item_options);
               SolveOutcome o = item_solver.Solve(lifted);  // condition (c)
               out.solver = item_solver.stats();
               if (o == SolveOutcome::kError) {

@@ -41,11 +41,8 @@ struct StDelStats {
   int64_t partitions_run = 0;   ///< lift-item shards executed as tasks
   int64_t partition_skipped_small = 0;  ///< parent sweeps left sequential:
                                         ///  below the shard threshold
-  int64_t evaluator_clones = 0;  ///< lift checks served by the lock-free
-                                 ///  concurrent-read evaluator path
-  int64_t mutex_evaluator_engaged = 0;  ///< lift checks that fell back to
-                                        ///  the serialized
-                                        ///  MutexDcaEvaluator wrapper
+  int64_t evaluator_clones = 0;  ///< parallel lift checks that share the
+                                 ///  caller's concurrent-read evaluator
   SolveStats solver;
 
   /// \brief Replacements generated by support propagation alone.
@@ -88,7 +85,8 @@ Status DeleteStDel(const Program& program, View* view,
 /// order the single-threaded sweep uses. Propagation order, replacement
 /// counts and the resulting instance sets are identical to num_threads=1;
 /// only fresh-variable numbering inside surviving constraints (canonical
-/// forms unchanged) and solver-memo hit counts differ.
+/// forms unchanged) and solver-memo hit counts differ. An evaluator that
+/// does not report ConcurrentReadSafe() runs the sequential sweep.
 Status DeleteStDelBatch(const Program& program, View* view,
                         const std::vector<UpdateAtom>& requests,
                         DcaEvaluator* evaluator,

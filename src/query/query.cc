@@ -41,10 +41,21 @@ Result<bool> AccumulateMatch(const ViewAtom& atom, const TermVec& pattern,
                              InstanceSet* out) {
   EnumerateOptions atom_options = options;
   atom_options.max_instances = options.max_instances - out->instances.size();
-  MMV_ASSIGN_OR_RETURN(
-      InstanceSet one,
-      EnumerateAtom(RestrictByPattern(atom, pattern), evaluator,
-                    atom_options));
+  // A ground argument unequal to a ground pattern value matches nothing —
+  // the restricted constraint would hold the unsatisfiable equality
+  // `a = b`. Deciding that here keeps the common miss of a point query
+  // off the copy and the solver.
+  bool mismatch = false;
+  for (size_t k = 0; k < pattern.size() && !mismatch; ++k) {
+    mismatch = pattern[k].is_const() && atom.args[k].is_const() &&
+               pattern[k].constant() != atom.args[k].constant();
+  }
+  InstanceSet one;
+  if (!mismatch) {
+    MMV_ASSIGN_OR_RETURN(one,
+                         EnumerateAtom(RestrictByPattern(atom, pattern),
+                                       evaluator, atom_options));
+  }
   out->instances.insert(one.instances.begin(), one.instances.end());
   out->complete = out->complete && one.complete;
   out->approximate = out->approximate || one.approximate;

@@ -18,11 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
-#include "constraint/canonical.h"
 #include "core/snapshot.h"
 #include "maintenance/batch.h"
 #include "test_util.h"
@@ -162,52 +160,6 @@ DifferentialOutcome RunTrial(uint64_t seed, DupSemantics semantics,
   EXPECT_EQ(Instances(pre_pin, w.domains.get()), initial_instances)
       << "pre-batch snapshot changed under maintenance\n"
       << out.trace;
-
-  // The $MMV_SOLVER_FASTPATH sweep: the same batch with the solver fast
-  // path off (slow-path oracle, no rejection memo) must produce the
-  // byte-identical maintained view — canonical atoms AND support multiset,
-  // not just instances — and identical work-product counters. Only the
-  // strategy counters may differ; with the screen off they are zero.
-  {
-    auto canonical_atoms = [](const View& v) {
-      std::multiset<std::string> out;
-      for (const ViewAtom& a : v.atoms()) {
-        out.insert(CanonicalAtomString(a.pred, a.args, a.constraint));
-      }
-      return out;
-    };
-    auto supports = [](const View& v) {
-      std::multiset<std::string> out;
-      for (const ViewAtom& a : v.atoms()) out.insert(a.support.ToString());
-      return out;
-    };
-    FixpointOptions off_fp = batch_fp;
-    off_fp.solver.fastpath = false;
-    SnapshotStore off_snapshots;
-    View off_initial = Unwrap(Materialize(p, w.domains.get(), off_fp));
-    off_snapshots.Publish(off_initial);
-    View off_view = off_initial;
-    maint::BatchStats off_stats;
-    int off_counter = 0;
-    Status off_s =
-        maint::ApplyBatch(p, &off_view, burst, w.domains.get(), off_fp,
-                          &off_stats, &off_counter, &off_snapshots);
-    EXPECT_TRUE(off_s.ok()) << off_s.ToString() << "\n" << out.trace;
-    EXPECT_EQ(canonical_atoms(batch_view), canonical_atoms(off_view))
-        << "fastpath on/off diverged\n"
-        << out.trace;
-    EXPECT_EQ(supports(batch_view), supports(off_view))
-        << "fastpath on/off support multisets diverged\n"
-        << out.trace;
-    EXPECT_EQ(out.batch_stats.input_updates, off_stats.input_updates);
-    EXPECT_EQ(out.batch_stats.coalesced_away, off_stats.coalesced_away);
-    EXPECT_EQ(out.batch_stats.delete_passes, off_stats.delete_passes);
-    EXPECT_EQ(out.batch_stats.insert_passes, off_stats.insert_passes);
-    EXPECT_EQ(out.batch_stats.epochs_published, off_stats.epochs_published);
-    EXPECT_EQ(off_stats.sat_prechecks, 0) << out.trace;
-    EXPECT_EQ(off_stats.sat_rejects, 0) << out.trace;
-    EXPECT_EQ(off_stats.reject_cache_hits, 0) << out.trace;
-  }
 
   View seq_view = initial;
   int seq_counter = 0;

@@ -224,6 +224,43 @@ TEST_F(DomainsTest, ManagerErrors) {
             StatusCode::kInvalidArgument);
 }
 
+// Solve decides a satisfiable membership in every standard domain, both
+// with an open variable and with the witness value in its place.
+TEST_F(DomainsTest, SolveAcceptsSatisfiableMembershipInEveryDomain) {
+  ASSERT_TRUE(world_.catalog->CreateTable(rel::Schema{"t", {"k"}}).ok());
+  ASSERT_TRUE(world_.catalog->Insert("t", {Value("a")}).ok());
+  ASSERT_TRUE(world_.handles.facextract->AddPerson("alice", 1).ok());
+  std::string face = Unwrap(
+      world_.handles.facextract->AddSurveillanceFace("surveillance", "ph1", 1));
+  ASSERT_TRUE(
+      world_.handles.text->AddDocument("d1", "the quick brown fox").ok());
+  auto num = [](double v) { return Term::Const(Value(v)); };
+  struct Case {
+    DomainCall call;
+    Value witness;
+  };
+  std::vector<Case> cases = {
+      {{"arith", "greater", {Term::Const(Value(5))}}, Value(6)},
+      {{"tuple", "get",
+        {Term::Const(Value(ValueList{Value("a"), Value(2)})),
+         Term::Const(Value(0))}},
+       Value("a")},
+      {{"rel", "count", {Term::Const(Value("t"))}}, Value(1)},
+      {{"spatial", "distance", {num(0), num(0), num(3), num(4)}}, Value(5.0)},
+      {{"faces", "findname", {Term::Const(Value(face))}}, Value("alice")},
+      {{"text", "match", {Term::Const(Value("quick"))}}, Value("d1")},
+  };
+  Solver solver(world_.domains.get());
+  for (const Case& k : cases) {
+    for (const Term& lhs : {Term::Var(0), Term::Const(k.witness)}) {
+      Constraint c;
+      c.Add(Primitive::In(lhs, k.call));
+      EXPECT_TRUE(IsSolvable(solver.Solve(c)))
+          << c.ToString() << "\n" << solver.last_status().ToString();
+    }
+  }
+}
+
 TEST_F(DomainsTest, CallCountTracksEvaluations) {
   world_.domains->ResetCallCount();
   ASSERT_TRUE(Call("arith", "plus", {Value(1), Value(2)}).ok());

@@ -109,31 +109,6 @@ void ExpectModesAgree(const Program& p, DcaEvaluator* eval,
   EXPECT_EQ(declared_stats.probe_intersections, 0)
       << "declared plans must probe the first ground position only";
 
-  // The $MMV_SOLVER_FASTPATH sweep: replaying the ordered run with the
-  // solver fast path off (the slow-path oracle) must change NOTHING about
-  // the work product — view, supports, and every work counter, including
-  // unsat_pruned (each screen rejection replaces a slow-path prune of the
-  // SAME candidate). Only the strategy counters differ, and with the
-  // screen disabled they are zero by construction.
-  opts.join_mode = JoinMode::kIndexed;
-  opts.solver.fastpath = false;
-  FixpointStats off_stats;
-  View fp_off = Unwrap(Materialize(p, eval, opts, &off_stats));
-  EXPECT_EQ(CanonicalAtoms(ordered), CanonicalAtoms(fp_off)) << trace;
-  EXPECT_EQ(Supports(ordered), Supports(fp_off)) << trace;
-  EXPECT_EQ(ordered_stats.atoms_created, off_stats.atoms_created) << trace;
-  EXPECT_EQ(ordered_stats.duplicates_suppressed,
-            off_stats.duplicates_suppressed)
-      << trace;
-  EXPECT_EQ(ordered_stats.unsat_pruned, off_stats.unsat_pruned) << trace;
-  EXPECT_EQ(ordered_stats.index_probes, off_stats.index_probes) << trace;
-  EXPECT_EQ(ordered_stats.ground_rejects, off_stats.ground_rejects) << trace;
-  EXPECT_EQ(ordered_stats.rename_skipped, off_stats.rename_skipped) << trace;
-  EXPECT_EQ(ordered_stats.iterations, off_stats.iterations) << trace;
-  EXPECT_EQ(off_stats.solver.sat_prechecks, 0) << trace;
-  EXPECT_EQ(off_stats.solver.sat_rejects, 0) << trace;
-  EXPECT_EQ(off_stats.solver.reject_cache_hits, 0) << trace;
-
   if (indexed_stats_out) *indexed_stats_out = ordered_stats;
 }
 
@@ -289,7 +264,7 @@ TEST(JoinDifferential, NaiveFallbackConfigurations) {
 // see the star test below for rejects.)
 TEST(JoinDifferential, TransitiveClosureJoinsAgreeAndProbe) {
   TestWorld w = TestWorld::Make();
-  bool saw_probes = false, saw_fastpath = false;
+  bool saw_probes = false, saw_rename_skip = false;
   for (uint64_t seed = 3000; seed < 3020; ++seed) {
     Rng rng(seed);
     int n = static_cast<int>(rng.Int(4, 10));
@@ -299,11 +274,11 @@ TEST(JoinDifferential, TransitiveClosureJoinsAgreeAndProbe) {
     ExpectModesAgree(p, w.domains.get(), FixpointOptions(),
                      "tc seed " + std::to_string(seed), &stats);
     saw_probes = saw_probes || stats.index_probes > 0;
-    saw_fastpath = saw_fastpath || stats.rename_skipped > 0;
+    saw_rename_skip = saw_rename_skip || stats.rename_skipped > 0;
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_TRUE(saw_probes);
-  EXPECT_TRUE(saw_fastpath);
+  EXPECT_TRUE(saw_rename_skip);
 }
 
 // A reciprocal join over a star graph: sym(X,Y) <- e(X,Y), e(Y,X) with
@@ -426,28 +401,11 @@ TEST(JoinDifferential, ReversedGuardedChainReordersAndAgrees) {
   EXPECT_EQ(v.size(), 6u * 6u);  // width x (depth + 1), one derivation each
 }
 
-// A bogus $MMV_SOLVER_FASTPATH must fail loudly, mirroring the join-mode,
-// plan-mode and thread-count parsers: a typo in CI must not silently run
-// the wrong solver tier.
-TEST(JoinDifferential, SolverFastpathEnvParsesLoudly) {
-  EXPECT_TRUE(Unwrap(ParseSolverFastpath("on")));
-  EXPECT_FALSE(Unwrap(ParseSolverFastpath("off")));
-  Result<bool> bad = ParseSolverFastpath("bogus");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().ToString().find("unknown solver fastpath mode"),
-            std::string::npos)
-      << bad.status().ToString();
-  Result<bool> env = SolverFastpathFromEnv();
-  EXPECT_TRUE(env.ok()) << env.status().ToString();
-}
-
-// Directed screen engagement: interval facts whose conjunction is empty.
-// The fact constraints cannot dissolve into ground head arguments, so the
-// join candidate reaches the solver tier — and the pre-join screen refutes
-// it from the two half-ground comparisons, before any rename. The
-// fastpath-off replay inside ExpectModesAgree pins that the prune count is
-// byte-identical either way.
-TEST(JoinDifferential, ContradictoryJoinScreenedBeforeRename) {
+// Interval facts whose conjunction is empty. The fact constraints cannot
+// dissolve into ground head arguments, so the join candidate reaches the
+// solver, which refutes it from the two half-ground comparisons: no r atom
+// survives and the candidate is counted as pruned.
+TEST(JoinDifferential, ContradictoryJoinPruned) {
   TestWorld w = TestWorld::Make();
   Program p;
   auto add_interval_fact = [&p](const char* pred, CmpOp op, int64_t bound) {
@@ -474,8 +432,6 @@ TEST(JoinDifferential, ContradictoryJoinScreenedBeforeRename) {
                    "contradictory interval join", &stats);
   View v = Unwrap(Materialize(p, w.domains.get(), FixpointOptions()));
   EXPECT_TRUE(v.AtomsFor("r").empty());
-  EXPECT_GT(stats.solver.sat_prechecks, 0);
-  EXPECT_GT(stats.solver.sat_rejects, 0);
   EXPECT_GT(stats.unsat_pruned, 0);
 }
 
@@ -501,13 +457,12 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
     }
 
     auto run = [&](JoinMode mode, plan::PlanMode plan_mode, int threads,
-                   maint::InsertStats* stats, bool fastpath = true) {
+                   maint::InsertStats* stats) {
       FixpointOptions opts;
       opts.semantics = semantics;
       opts.join_mode = mode;
       opts.plan_mode = plan_mode;
       opts.num_threads = threads;
-      opts.solver.fastpath = fastpath;
       View v = Unwrap(Materialize(p, w.domains.get(), opts));
       int ext = 0;
       Status s = maint::InsertBatch(p, &v, requests, w.domains.get(), opts,
@@ -531,27 +486,6 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
     if (semantics == DupSemantics::kDuplicate) {  // see ExpectModesAgree
       EXPECT_EQ(Supports(naive), Supports(ordered)) << "seed " << seed;
     }
-    // The insertion continuation with the solver fast path off: the
-    // InsertBatch screens (and the batch-scoped rejection memo) may only
-    // prune what the slow path proves unsatisfiable, so the maintained
-    // view, supports and insertion counters are byte-identical.
-    maint::InsertStats fp_off_stats;
-    View fp_off = run(JoinMode::kIndexed, plan::PlanMode::kOrdered, 1,
-                      &fp_off_stats, /*fastpath=*/false);
-    EXPECT_EQ(CanonicalAtoms(ordered), CanonicalAtoms(fp_off))
-        << "seed " << seed << " (fastpath off)\n"
-        << p.ToString();
-    EXPECT_EQ(Supports(ordered), Supports(fp_off))
-        << "seed " << seed << " (fastpath off)";
-    EXPECT_EQ(seq_stats.add_atoms, fp_off_stats.add_atoms);
-    EXPECT_EQ(seq_stats.atoms_added, fp_off_stats.atoms_added);
-    EXPECT_EQ(seq_stats.unfold_derivations, fp_off_stats.unfold_derivations);
-    EXPECT_EQ(seq_stats.index_probes, fp_off_stats.index_probes);
-    EXPECT_EQ(seq_stats.ground_rejects, fp_off_stats.ground_rejects);
-    EXPECT_EQ(seq_stats.rename_skipped, fp_off_stats.rename_skipped);
-    EXPECT_EQ(fp_off_stats.solver.sat_prechecks, 0);
-    EXPECT_EQ(fp_off_stats.solver.sat_rejects, 0);
-    EXPECT_EQ(fp_off_stats.solver.reject_cache_hits, 0);
     // The insertion continuation under the num_threads sweep: the parallel
     // engine replays the sequential append order, so the whole maintained
     // view — supports included, both semantics — and the insertion

@@ -66,14 +66,29 @@ class GridEvaluator : public DcaEvaluator {
 
 // Generates a random constraint over variables 0..n-1.
 Constraint RandomConstraint(Rng* rng, int n, int depth) {
-  auto random_term = [&](bool allow_const) -> Term {
-    if (allow_const && rng->Chance(0.4)) {
-      return Term::Const(Value(rng->Int(kUniverseLo - 1, kUniverseHi + 1)));
-    }
+  auto random_const = [&]() -> Term {
+    return Term::Const(Value(rng->Int(kUniverseLo - 1, kUniverseHi + 1)));
+  };
+  auto random_var = [&]() -> Term {
     return Term::Var(static_cast<VarId>(rng->Int(0, n - 1)));
   };
+  auto random_term = [&](bool allow_const) -> Term {
+    if (allow_const && rng->Chance(0.4)) return random_const();
+    return random_var();
+  };
+  // Eq, Neq or a random comparison between two given terms.
+  auto relate = [&](const Term& l, const Term& r) -> Primitive {
+    switch (rng->Int(0, 2)) {
+      case 0:
+        return Primitive::Eq(l, r);
+      case 1:
+        return Primitive::Neq(l, r);
+      default:
+        return Primitive::Cmp(l, static_cast<CmpOp>(rng->Int(0, 3)), r);
+    }
+  };
   auto random_prim = [&]() -> Primitive {
-    switch (rng->Int(0, 5)) {
+    switch (rng->Int(0, 7)) {
       case 0:
         return Primitive::Eq(random_term(false), random_term(true));
       case 1:
@@ -91,6 +106,12 @@ Constraint RandomConstraint(Rng* rng, int n, int depth) {
         return Primitive::In(
             random_term(false),
             DomainCall{"g", "succ", {random_term(true)}});
+      case 5:  // ground against ground, e.g. 3 < 2
+        return relate(random_const(), random_const());
+      case 6: {  // one variable against itself, e.g. X < X or X != X
+        Term x = random_var();
+        return relate(x, x);
+      }
       default:
         return Primitive::In(
             random_term(false),
@@ -102,6 +123,14 @@ Constraint RandomConstraint(Rng* rng, int n, int depth) {
   Constraint c;
   int prims = static_cast<int>(rng->Int(1, 4));
   for (int i = 0; i < prims; ++i) c.Add(random_prim());
+  // An equality chain X = Y, Y = a, X = b, whose conflict (a != b) shows
+  // only once the binding of Y has propagated back through X = Y.
+  if (n > 1 && rng->Chance(0.15)) {
+    Term x = Term::Var(0), y = Term::Var(1);
+    c.Add(Primitive::Eq(x, y));
+    c.Add(Primitive::Eq(y, random_const()));
+    c.Add(Primitive::Eq(x, random_const()));
+  }
   if (depth > 0) {
     int blocks = static_cast<int>(rng->Int(0, 2));
     for (int b = 0; b < blocks; ++b) {

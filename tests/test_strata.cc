@@ -453,6 +453,50 @@ TEST(ParallelStrataTest, NaiveJoinModeIgnoresThreadCount) {
   EXPECT_EQ(Canon(s), Canon(v));
 }
 
+// An evaluator that does not report ConcurrentReadSafe() — a domain
+// manager whose call cache writes on evaluation — must run the sequential
+// engine and the sequential StDel sweep whatever num_threads says, like
+// the naive join above: nothing fans out, and the view is the threads=1
+// oracle's.
+TEST(ParallelStrataTest, NonReadSafeEvaluatorIgnoresThreadCount) {
+  TestWorld w = TestWorld::Make();
+  w.domains->EnableCallCache(true);
+  ASSERT_FALSE(w.domains->ConcurrentReadSafe());
+  Program p = workload::MakeGuardedMultiChain(/*chains=*/3, /*depth=*/4,
+                                              /*width=*/6);
+  std::vector<maint::Update> burst;
+  for (int chain = 0; chain < 3; ++chain) {
+    maint::UpdateAtom req;
+    req.pred = "c" + std::to_string(chain) + "_p0";
+    VarId x = p.factory()->Fresh();
+    req.args = {Term::Var(x)};
+    req.constraint.Add(
+        Primitive::Eq(Term::Var(x), Term::Const(Value(int64_t{chain + 1}))));
+    burst.push_back(maint::Update{maint::Update::Kind::kDelete,
+                                  std::move(req)});
+  }
+  auto run = [&](int threads, FixpointStats* fix_stats,
+                 maint::BatchStats* batch_stats) {
+    FixpointOptions opts;
+    opts.num_threads = threads;
+    View v = Unwrap(Materialize(p, w.domains.get(), opts, fix_stats));
+    Status s = maint::ApplyBatch(p, &v, burst, w.domains.get(), opts,
+                                 batch_stats);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return v;
+  };
+  FixpointStats seq_fix, par_fix;
+  maint::BatchStats seq_batch, par_batch;
+  View sequential = run(1, &seq_fix, &seq_batch);
+  View parallel = run(8, &par_fix, &par_batch);
+  EXPECT_GT(seq_batch.step3_replacements, 0u);  // the lift sweep ran
+  EXPECT_EQ(Canon(sequential), Canon(parallel));
+  EXPECT_EQ(par_fix.partitions_run, 0);
+  EXPECT_EQ(par_fix.evaluator_clones, 0);
+  EXPECT_EQ(par_batch.partitions_run, 0);
+  EXPECT_EQ(par_batch.evaluator_clones, 0);
+}
+
 // StDel's parallel step-3 lift checks: a burst of deletions through
 // ApplyBatch must leave the canonically identical view (and identical
 // propagation counters) whatever num_threads says.
