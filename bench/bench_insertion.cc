@@ -346,12 +346,12 @@ void BM_Continuation_GuardedChainReversed(benchmark::State& state) {
   ExportJoinCounters(state, fs);
 }
 
-// Eight independent guarded chains — eight head-predicate groups per
-// stratum, the parallel-strata showcase: with T threads each round's
-// chain passes run concurrently against the frozen delta window and merge
-// once per round in clause order. Thread-paired: trailing arg 0 = 1
-// thread (the sequential engine), 1 = every hardware thread; the
-// derived-atom counters must match across the pair byte for byte (CI
+// Eight independent guarded chains fed K round-robin deltas: many clauses
+// with small pivot windows, none large enough to shard, so with T threads
+// every pivot still runs inline and the pair should cost the same — the
+// check that threads never lose on small rounds. Thread-paired: trailing
+// arg 0 = 1 thread (the sequential engine), 1 = every hardware thread;
+// the derived-atom counters must match across the pair byte for byte (CI
 // diffs them). {depth, width, K, threads flag}.
 void BM_Continuation_GuardedMultiChain(benchmark::State& state) {
   World w = World::Make();
@@ -402,12 +402,11 @@ void BM_Continuation_GuardedMultiChain(benchmark::State& state) {
 }
 
 // Transitive closure with a DCA-guarded recursive clause — ONE recursive
-// predicate, so the whole program is a single SCC and the strata axis
-// offers no parallelism at all: any speedup here comes from intra-SCC
-// delta partitioning alone. The K delta edges e(n+j, 0) all land in one
-// frozen pivot window of the recursive clause, which the engine shards
-// across workers; the arith guard makes each candidate pay a real
-// solver + domain evaluation on the worker, the regime partitioning is
+// predicate, so the whole program is a single SCC: any speedup here comes
+// from sharding its large pivot window. The K delta edges e(n+j, 0) all
+// land in one frozen pivot window of the recursive clause, which the
+// engine shards across workers; the arith guard makes each candidate pay
+// a real solver + domain evaluation on the worker, the regime sharding is
 // for. Thread-paired like GuardedMultiChain: trailing arg 0 = 1 thread,
 // 1 = every hardware thread, and the derived-atom counters must match
 // across the pair byte for byte (CI diffs them; partitions_run shows how

@@ -7,7 +7,7 @@ Each input is the JSONL sidecar a bench binary writes (one object per case:
 name, real_ms, counters). The indexed join pipeline must derive EXACTLY the
 atom counts the naive oracle derives, the selectivity-ordered plan executor
 exactly what the declared-order (plan-off) executor derives, and the
-parallel-strata engine (MMV_THREADS=8 sidecar vs MMV_THREADS=1 sidecar)
+parallel engine (MMV_THREADS=8 sidecar vs MMV_THREADS=1 sidecar)
 exactly what the sequential engine derives — so for every case present in
 both files the work-product counters must match bit-for-bit. The first
 file is the reference; every other file is diffed against it. Timing

@@ -11,7 +11,6 @@
 
 #include "constraint/canonical.h"
 #include "constraint/simplify.h"
-#include "core/thread_pool.h"
 #include "plan/partition.h"
 #include "plan/plan_cache.h"
 
@@ -28,9 +27,9 @@ namespace {
 constexpr VarId kVarIdCeiling =
     std::numeric_limits<VarId>::max() - (VarId{1} << 20);
 
-// Where a clause pass's derived atoms go. The sequential engine adds them
-// to the view immediately (dedup included); parallel passes stage them
-// per clause for the round's ordered merge.
+// Where a clause pass's derived atoms go. The engine's own runner adds
+// them to the view immediately (dedup included); the shards of a sharded
+// pivot stage them for the pivot's ordered merge.
 class DeriveSink {
  public:
   virtual ~DeriveSink() = default;
@@ -45,33 +44,38 @@ class DeriveSink {
 // nested-loop oracle and the compiled-plan pipeline) plus the shared
 // derivation tail (constraint assembly, simplify, solve). Everything the
 // pass writes goes through its DeriveSink / FixpointStats bindings, so one
-// ClauseRunner serves the sequential engine (bound to the live view and
-// engine stats) and each parallel worker (bound to per-clause staging).
+// ClauseRunner serves the engine (bound to the live view and engine stats)
+// and each shard of a sharded pivot (bound to its own staging).
 //
 // Reads only view indexes and atoms below the round's delta_end; within a
 // round those are frozen (appends land at indices >= delta_end), which is
-// what makes concurrent passes against one view sound.
+// what makes concurrent shards against one view sound.
 class ClauseRunner {
  public:
   ClauseRunner(const View& view, const FixpointOptions& options,
                Solver* solver, VarFactory* factory)
       : view_(view), options_(options), solver_(solver), factory_(factory) {}
 
-  /// \brief Points the runner's output at \p stats / \p sink (per pass
-  /// for parallel workers; once for the sequential engine).
+  /// \brief Points the runner's output at \p stats / \p sink (once, at
+  /// construction of the engine or of a shard).
   void Bind(FixpointStats* stats, DeriveSink* sink) {
     stats_ = stats;
     sink_ = sink;
   }
 
-  /// \brief Per-declared-body-position candidate / accepted counters of
-  /// the last RunPlanned pass (PlanCache::Feedback input), and whether
-  /// that pass got far enough that the sequential engine would report
-  /// them (it early-outs before feedback when a body predicate has no
-  /// candidate atoms at all).
+  /// \brief Per-declared-body-position candidate / accepted counters since
+  /// the last BeginPass (PlanCache::Feedback input).
   const std::vector<int64_t>& candidates() const { return cand_; }
   const std::vector<int64_t>& accepted() const { return acc_; }
-  bool feedback_due() const { return feedback_due_; }
+
+  /// \brief Folds a shard's feedback counters into this pass's.
+  void AddFeedback(const std::vector<int64_t>& cand,
+                   const std::vector<int64_t>& acc) {
+    for (size_t pos = 0; pos < cand_.size(); ++pos) {
+      cand_[pos] += cand[pos];
+      acc_[pos] += acc[pos];
+    }
+  }
 
   // ---- kNaive: the legacy nested-loop join (differential oracle) --------
 
@@ -107,10 +111,7 @@ class ClauseRunner {
   /// pass cannot derive — a body predicate with no atoms at all, or one
   /// with no atoms below delta_end (every window empty; atoms past
   /// delta_end exist when an EARLIER clause of this round already
-  /// appended, and cutting on the windowed count keeps pass-level
-  /// counters identical between the sequential engine and parallel
-  /// workers reading the frozen prefix). Pure read: writes no stats, so
-  /// the parallel round can screen clauses before its go/no-go decision.
+  /// appended). Pure read: writes no stats.
   bool PreparePass(const Clause& c, size_t delta_begin, size_t delta_end,
                    std::vector<const std::vector<size_t>*>* lists,
                    std::vector<std::pair<size_t, size_t>>* cut) const {
@@ -128,138 +129,59 @@ class ClauseRunner {
     return true;
   }
 
-  Status RunPlanned(const Clause& c, const plan::ClausePlan& plan,
-                    size_t delta_begin, size_t delta_end, int round) {
-    size_t n = c.body.size();
-    feedback_due_ = false;
-    std::vector<const std::vector<size_t>*> lists;
-    std::vector<std::pair<size_t, size_t>> cut;
-    if (!PreparePass(c, delta_begin, delta_end, &lists, &cut)) {
-      return Status::OK();
-    }
-    BeginPass(plan, n);
-    std::vector<size_t> chosen(n);
-    Status status = Status::OK();
-    for (size_t pivot = 0; pivot < n; ++pivot) {
-      if (cut[pivot].first == cut[pivot].second) continue;  // empty delta
-      status = RecursePlanned(c, plan, plan.order(pivot), lists, cut, pivot,
-                              0, delta_begin, delta_end, round, &chosen);
-      if (!status.ok()) break;
-      if (sink_->Full()) break;
-    }
-    return status;
+  /// \brief Resets the binding slots, undo log and feedback counters for
+  /// one planned pass: a whole clause on the engine's runner, one shard on
+  /// a shard's.
+  void BeginPass(const plan::ClausePlan& plan, size_t body_size) {
+    bound_.assign(static_cast<size_t>(plan.num_slots), BoundRef{});
+    undo_.clear();
+    cand_.assign(body_size, 0);
+    acc_.assign(body_size, 0);
   }
 
-  // ---- parallel slice entry points --------------------------------------
-  //
-  // A parallel round decomposes RunPlanned's pivot loop: each nonempty
-  // (clause, pivot) runs as its own pass — sound for the same reason the
-  // pivot loop needs no barriers: every pivot's windows read only the
-  // frozen prefix below delta_end. A pivot whose delta window is large
-  // enough is split further into contiguous shards of its depth-0
-  // candidate sequence (plan/partition.h).
-
-  /// \brief One whole (clause, pivot) pass: RunPlanned minus the pivot
-  /// loop. Counts its own depth-0 probes, exactly once, like sequential.
-  Status RunPivotPass(const Clause& c, const plan::ClausePlan& plan,
-                      const std::vector<const std::vector<size_t>*>& lists,
-                      const std::vector<std::pair<size_t, size_t>>& cut,
-                      size_t pivot, size_t delta_begin, size_t delta_end,
-                      int round) {
-    BeginPass(plan, c.body.size());
+  /// \brief One seminaive pivot of the current pass. The pivots of a pass
+  /// need no barriers between them: every pivot's windows read only the
+  /// frozen prefix below delta_end.
+  Status RunPivot(const Clause& c, const plan::ClausePlan& plan,
+                  const std::vector<const std::vector<size_t>*>& lists,
+                  const std::vector<std::pair<size_t, size_t>>& cut,
+                  size_t pivot, size_t delta_begin, size_t delta_end,
+                  int round) {
     std::vector<size_t> chosen(c.body.size());
     return RecursePlanned(c, plan, plan.order(pivot), lists, cut, pivot, 0,
                           delta_begin, delta_end, round, &chosen);
   }
 
-  /// \brief Replays a sharded pivot's depth-0 probe selection, appending
-  /// the pivot window's candidate atom indices to \p out in exactly the
-  /// order a whole-pivot pass would enumerate them (ascending atom
-  /// index). Runs ONCE per (clause, pivot) on the engine thread — it
-  /// counts index_probes / probe_intersections into the bound stats, and
-  /// shards then enumerate contiguous subranges without re-probing, so
-  /// the probe counters stay identical to num_threads=1 whatever the
-  /// shard count. Precondition: the pivot's execution order starts at the
-  /// pivot itself (plan.order(pivot).steps[0].decl_pos == pivot), which
-  /// also means no binding slots are live at depth 0 — only clause
-  /// constants can be ground probe positions here.
+  /// \brief Appends a pivot's depth-0 candidate atom indices to \p out in
+  /// exactly the order RunPivot would enumerate them, through the same
+  /// probe selection. Runs ONCE per sharded (clause, pivot) on the engine
+  /// thread — it counts index_probes / probe_intersections into the bound
+  /// stats, and shards then enumerate contiguous subranges without
+  /// re-probing, so the probe counters stay identical to num_threads=1
+  /// whatever the shard count. Precondition: the pivot's execution order
+  /// starts at the pivot itself, so no binding slot is live at depth 0.
   void MaterializePivotCandidates(
       const Clause& c, const plan::ClausePlan& plan,
       const std::vector<const std::vector<size_t>*>& lists,
       const std::vector<std::pair<size_t, size_t>>& cut, size_t pivot,
       size_t delta_begin, size_t delta_end, std::vector<size_t>* out) {
-    const plan::PivotOrder& order = plan.order(pivot);
-    size_t pos = order.steps[0].decl_pos;
-    const std::vector<plan::PlanArg>& pattern = plan.body[pos];
-    const std::vector<size_t>* hits = nullptr;
-    const std::vector<size_t>* vars = nullptr;
-    size_t win_i = 0, win_i_end = 0, win_j = 0, win_j_end = 0;
-    bool have_windows = false;
-    size_t best_size = 0;
-    int ground_positions = 0;
-    for (uint16_t k : order.steps[0].probe_positions) {
-      const plan::PlanArg& a = pattern[k];
-      if (!a.is_const) continue;  // depth 0: no slot is bound yet
-      ++ground_positions;
-      const std::vector<size_t>& h =
-          view_.AtomsForArgValue(c.body[pos].pred, k, a.value);
-      const std::vector<size_t>& w =
-          view_.AtomsForNonConstArg(c.body[pos].pred, k);
-      if (!plan.multi_probe) {
-        hits = &h;
-        vars = &w;
-        break;
-      }
-      size_t i = LowerBoundPos(h, delta_begin);
-      size_t i_end = LowerBoundPos(h, delta_end);
-      size_t j = LowerBoundPos(w, delta_begin);
-      size_t j_end = LowerBoundPos(w, delta_end);
-      size_t size = (i_end - i) + (j_end - j);
-      if (hits == nullptr || size < best_size) {
-        hits = &h;
-        vars = &w;
-        best_size = size;
-        win_i = i;
-        win_i_end = i_end;
-        win_j = j;
-        win_j_end = j_end;
-        have_windows = true;
-      }
-    }
-    if (ground_positions >= 2) stats_->probe_intersections++;
-    if (hits != nullptr) {
-      stats_->index_probes++;
-      size_t i = have_windows ? win_i : LowerBoundPos(*hits, delta_begin);
-      size_t i_end =
-          have_windows ? win_i_end : LowerBoundPos(*hits, delta_end);
-      size_t j = have_windows ? win_j : LowerBoundPos(*vars, delta_begin);
-      size_t j_end =
-          have_windows ? win_j_end : LowerBoundPos(*vars, delta_end);
-      while (i < i_end || j < j_end) {
-        if (j >= j_end || (i < i_end && (*hits)[i] < (*vars)[j])) {
-          out->push_back((*hits)[i++]);
-        } else {
-          out->push_back((*vars)[j++]);
-        }
-      }
-      return;
-    }
-    const std::vector<size_t>& list = *lists[pos];
-    for (size_t i = cut[pos].first; i < cut[pos].second; ++i) {
-      out->push_back(list[i]);
-    }
+    ForEachCandidate(c, plan, plan.order(pivot), lists, cut, pivot,
+                     /*depth=*/0, delta_begin, delta_end, [&](size_t idx) {
+                       out->push_back(idx);
+                       return true;
+                     });
   }
 
-  /// \brief One shard of a partitioned pivot pass: unifies the
-  /// materialized candidates in [begin, end) at depth 0, recursing into
-  /// deeper steps exactly as the whole pass would. Does NOT count
-  /// depth-0 probes — MaterializePivotCandidates already did.
-  Status RunPivotSlice(const Clause& c, const plan::ClausePlan& plan,
-                       const std::vector<const std::vector<size_t>*>& lists,
-                       const std::vector<std::pair<size_t, size_t>>& cut,
-                       size_t pivot, const std::vector<size_t>& candidates,
-                       size_t begin, size_t end, size_t delta_begin,
-                       size_t delta_end, int round) {
+  /// \brief One shard of a sharded pivot: unifies the materialized
+  /// candidates in [begin, end) at depth 0, recursing into deeper steps
+  /// exactly as RunPivot would. Does NOT count depth-0 probes —
+  /// MaterializePivotCandidates already did.
+  Status RunShard(const Clause& c, const plan::ClausePlan& plan,
+                  const std::vector<const std::vector<size_t>*>& lists,
+                  const std::vector<std::pair<size_t, size_t>>& cut,
+                  size_t pivot, const std::vector<size_t>& candidates,
+                  size_t begin, size_t end, size_t delta_begin,
+                  size_t delta_end, int round) {
     BeginPass(plan, c.body.size());
     const plan::PivotOrder& order = plan.order(pivot);
     std::vector<size_t> chosen(c.body.size());
@@ -344,16 +266,6 @@ class ClauseRunner {
   }
 
  private:
-  // Resets the binding slots, undo log and feedback counters for one
-  // planned pass (a whole clause, one pivot, or one shard of one).
-  void BeginPass(const plan::ClausePlan& plan, size_t body_size) {
-    feedback_due_ = true;
-    bound_.assign(static_cast<size_t>(plan.num_slots), BoundRef{});
-    undo_.clear();
-    cand_.assign(body_size, 0);
-    acc_.assign(body_size, 0);
-  }
-
   // A ground binding: which chosen instance argument bound the slot. Atom
   // indices stay valid across view appends (unlike pointers into the atom
   // vector, which reallocates).
@@ -418,6 +330,27 @@ class ClauseRunner {
     if (depth == c.body.size()) {
       return DerivePlanned(c, plan, *chosen, round);
     }
+    Status status = Status::OK();
+    ForEachCandidate(c, plan, order, lists, cut, pivot, depth, delta_begin,
+                     delta_end, [&](size_t idx) {
+                       status = TryCandidate(c, plan, order, lists, cut,
+                                             pivot, depth, delta_begin,
+                                             delta_end, round, chosen, idx);
+                       return status.ok() && !sink_->Full();
+                     });
+    return status;
+  }
+
+  // Calls visit(idx) for every candidate atom of plan step \p depth within
+  // its seminaive window, in ascending atom-index order (the oracle's),
+  // until visit returns false.
+  template <typename Visit>
+  void ForEachCandidate(const Clause& c, const plan::ClausePlan& plan,
+                        const plan::PivotOrder& order,
+                        const std::vector<const std::vector<size_t>*>& lists,
+                        const std::vector<std::pair<size_t, size_t>>& cut,
+                        size_t pivot, size_t depth, size_t delta_begin,
+                        size_t delta_end, Visit&& visit) {
     // The seminaive window is keyed by the DECLARED position (so each
     // combination is enumerated under exactly one pivot, whatever the
     // execution order); only the nesting order is the plan's.
@@ -494,24 +427,17 @@ class ClauseRunner {
         } else {
           idx = (*vars)[j++];
         }
-        MMV_RETURN_NOT_OK(TryCandidate(c, plan, order, lists, cut, pivot,
-                                       depth, delta_begin, delta_end, round,
-                                       chosen, idx));
-        if (sink_->Full()) return Status::OK();
+        if (!visit(idx)) return;
       }
-      return Status::OK();
+      return;
     }
 
     const std::vector<size_t>& list = *lists[pos];
     size_t begin = pos == pivot ? cut[pos].first : 0;
     size_t end = pos < pivot ? cut[pos].first : cut[pos].second;
     for (size_t i = begin; i < end; ++i) {
-      MMV_RETURN_NOT_OK(TryCandidate(c, plan, order, lists, cut, pivot,
-                                     depth, delta_begin, delta_end, round,
-                                     chosen, list[i]));
-      if (sink_->Full()) return Status::OK();
+      if (!visit(list[i])) return;
     }
-    return Status::OK();
   }
 
   // Unifies the candidate's ground arguments against the pattern: mismatch
@@ -644,56 +570,36 @@ class ClauseRunner {
   std::vector<int> undo_;            // bound slots, LIFO
   std::vector<int64_t> cand_, acc_;  // per decl body position:
                                      // feedback for the cache
-  bool feedback_due_ = false;
   VarSet var_set_;  // scratch for Derive
 };
 
-// One clause pass's staged output under parallel execution.
+// One derivation staged by a shard.
 struct StagedAtom {
   ViewAtom atom;
-  bool presimplified = false;
   CanonicalKey key;  ///< precomputed dedup key (kSet only)
 };
 
-// Everything one parallel slice — a (clause, pivot[, shard]) pass — hands
-// back to the round's merge.
-struct SliceOutcome {
+// Everything one shard of a sharded pivot hands back to the merge.
+struct ShardOutcome {
   std::vector<StagedAtom> atoms;  ///< enumeration order
   std::vector<int64_t> cand, acc;
-  bool capped = false;  ///< the staging budget cut this pass short
+  bool capped = false;  ///< the staging budget cut this shard short
   Status status;
-  FixpointStats stats;  ///< pass-local counters (summed at merge)
-  SolveStats solver;    ///< pass-local solver counters
+  FixpointStats stats;  ///< shard-local counters (summed at merge)
+  SolveStats solver;    ///< shard-local solver counters
 };
 
-// One schedulable unit of a parallel round. Slices are built in (clause,
-// pivot, shard) order, so merging them in list order with each slice's
-// atoms in enumeration order replays the exact sequential append order.
-struct RoundSlice {
-  size_t clause = 0;  ///< clause index in program order
-  size_t pivot = 0;   ///< declared seminaive pivot position
-  bool sharded = false;  ///< enumerate pool[begin, end) instead of the
-                         ///  whole pivot window
-  size_t pool = 0;       ///< index into the round's candidate pools
-  size_t begin = 0, end = 0;  ///< shard range within the pool
-  SolveCache* cache = nullptr;  ///< persistent per-slice solver memo
-};
-
-// Stages derivations per clause; canonical dedup keys are computed here in
-// the worker (they are renaming-invariant, so the staged-variable ids do
-// not matter) and the per-round merge does the actual dedup insertions.
+// Stages one shard's derivations; canonical dedup keys are computed here
+// in the worker (they are renaming-invariant, so the staged-variable ids
+// do not matter) and the merge does the actual dedup insertions.
 class StagingSink : public DeriveSink {
  public:
-  StagingSink(const FixpointOptions& options, size_t frozen_view_size)
-      : options_(options), frozen_(frozen_view_size) {}
+  StagingSink(const FixpointOptions& options, size_t frozen_view_size,
+              std::vector<StagedAtom>* out)
+      : options_(options), frozen_(frozen_view_size), out_(out) {}
 
-  void SetTarget(std::vector<StagedAtom>* out) {
-    out_ = out;
-    capped_ = false;
-  }
-
-  /// \brief True when Full() cut the current pass short. Staged counts are
-  /// PRE-dedup, so a capped pass may have stopped before derivations the
+  /// \brief True when Full() cut the shard short. Staged counts are
+  /// PRE-dedup, so a capped shard may have stopped before derivations the
   /// sequential engine (which caps on the deduped view size) would still
   /// reach — the merge must flag the run truncated or atoms would be
   /// dropped silently.
@@ -706,16 +612,14 @@ class StagingSink : public DeriveSink {
                                presimplified, &scratch_);
     }
     s.atom = std::move(atom);
-    s.presimplified = presimplified;
     out_->push_back(std::move(s));
-    ++staged_;
   }
 
-  // Per-task atom budget: the frozen view plus everything this task staged.
-  // (Truncation points under parallel execution legitimately differ from
-  // sequential — see FixpointOptions::num_threads.)
+  // Per-shard atom budget: the frozen view plus everything this shard
+  // staged. (Truncation points under parallel execution legitimately
+  // differ from sequential — see FixpointOptions::num_threads.)
   bool Full() const override {
-    if (frozen_ + staged_ < options_.max_atoms) return false;
+    if (frozen_ + out_->size() < options_.max_atoms) return false;
     capped_ = true;
     return true;
   }
@@ -723,9 +627,8 @@ class StagingSink : public DeriveSink {
  private:
   const FixpointOptions& options_;
   size_t frozen_;
-  size_t staged_ = 0;
+  std::vector<StagedAtom>* out_;
   mutable bool capped_ = false;
-  std::vector<StagedAtom>* out_ = nullptr;
   std::string scratch_;
 };
 
@@ -744,24 +647,20 @@ class StagingSink : public DeriveSink {
 //    threads through dense binding slots so any ground mismatch rejects
 //    the candidate before deeper steps are enumerated.
 //
-// With options.num_threads > 1 (and the kIndexed executor active), each
-// round's clause passes run CONCURRENTLY: the round's delta window is
-// frozen before any pass starts — sequential rounds never see intra-round
-// derivations either, since every window is capped at delta_end — so the
-// passes share the view read-only. Work is scheduled per (clause, pivot)
-// slice — clause passes are mutually independent because every one reads
-// only below delta_end, and the pivots within one pass are independent for
-// the same reason — and a pivot whose frozen delta window clears the
-// partition threshold (plan/partition.h) is split further into contiguous
-// shards of its depth-0 candidate sequence, so even a single recursive
-// clause fans out. Every slice stages its derivations with a private
-// staging factory for fresh variables, and one merge per round replays
-// them into the view in (clause, pivot, shard, enumeration) order —
-// exactly the sequential append order — doing dedup, counters and plan
-// feedback on the engine thread. Hence canonical atom sets, support
-// multisets and derivation counters are identical to the sequential
-// engine's; only fresh-variable numbering and solver-memo hit counts are
-// scheduling-free but not sequential-identical.
+// Every round runs its clauses one after another, each clause its pivots
+// one after another (RunClause). With options.num_threads > 1 a pivot
+// whose frozen delta window clears the partition threshold
+// (plan/partition.h) — and whose execution order starts at the pivot, so
+// depth 0 is a plain candidate sequence — is the one thing that fans out:
+// its depth-0 candidates are materialized once and split into contiguous
+// shards, each run on the pool with a private staging sink, solver memo
+// and fresh-var factory against the read-only view (every window reads
+// only below delta_end). The shards merge in shard order, then
+// enumeration order, before the next pivot runs — exactly the sequential
+// append order — doing dedup and counters on the engine thread. Hence
+// canonical atom sets, support multisets and derivation counters are
+// identical to the sequential engine's; only fresh-variable numbering and
+// solver-memo hit counts are scheduling-free but not sequential-identical.
 class Engine {
  public:
   Engine(const Program& program, DcaEvaluator* evaluator,
@@ -780,7 +679,7 @@ class Engine {
         // could legitimately keep such an atom — fall back to the oracle.
         indexed_(options.join_mode == JoinMode::kIndexed &&
                  options.simplify && options.prune_static_contradictions),
-        // Workers share the caller's evaluator lock-free, so only an
+        // Shards share the caller's evaluator lock-free, so only an
         // evaluator that vouches for concurrent pure reads may fan out;
         // any other runs sequentially (results are the threads=1 oracle's
         // by contract either way).
@@ -834,25 +733,12 @@ class Engine {
         break;
       }
       stats_->iterations = round;
-      size_t size_at_round_start = view_.size();
-
-      // Parallel rounds need the real factory well clear of the staging
-      // base, so staged ids stay recognizable. The round decides its own
-      // fan-out from the frozen windows — including an inline sequential
-      // fallback when fewer than two slices would run. Both decisions are
-      // deterministic, so the choice never shows in any output.
-      if (parallel_ && factory_.issued() < kStagingVarBase / 2) {
-        MMV_RETURN_NOT_OK(RunRoundParallel(delta_begin, delta_end, round));
+      for (const Clause& c : program_.clauses()) {
+        if (c.IsFact()) continue;
+        MMV_RETURN_NOT_OK(RunClause(c, delta_begin, delta_end, round));
         if (Capped()) return Finish();
-      } else {
-        for (const Clause& c : program_.clauses()) {
-          if (c.IsFact()) continue;
-          MMV_RETURN_NOT_OK(RunClauseSequential(c, delta_begin, delta_end,
-                                                round));
-          if (Capped()) return Finish();
-        }
       }
-      delta_begin = size_at_round_start;
+      delta_begin = delta_end;
     }
     return Finish();
   }
@@ -892,7 +778,7 @@ class Engine {
 
   View Finish() {
     stats_->solver = solver_.stats();
-    stats_->solver += parallel_solver_;
+    stats_->solver += shard_solver_;
     // Attribute this run's share of the (possibly shared) plan cache's
     // activity: the counters are monotone, so the delta since construction
     // is exactly what this run caused.
@@ -902,8 +788,12 @@ class Engine {
     return std::move(view_);
   }
 
-  Status RunClauseSequential(const Clause& c, size_t delta_begin,
-                             size_t delta_end, int round) {
+  // One clause pass of a round, pivot by pivot. A nonempty pivot runs
+  // inline through runner_ unless ShardsFor splits it; a sharded pivot
+  // merges before the next pivot runs, so the view grows in the sequential
+  // append order either way.
+  Status RunClause(const Clause& c, size_t delta_begin, size_t delta_end,
+                   int round) {
     if (!indexed_) {
       return runner_.RunNaive(c, delta_begin, delta_end, round);
     }
@@ -912,261 +802,137 @@ class Engine {
     // the binding/undo discipline of the executor.
     std::shared_ptr<const plan::ClausePlan> plan =
         plans_->PlanFor(program_, c);
-    Status status = runner_.RunPlanned(c, *plan, delta_begin, delta_end,
-                                       round);
+    std::vector<const std::vector<size_t>*> lists;
+    std::vector<std::pair<size_t, size_t>> cut;
+    if (!runner_.PreparePass(c, delta_begin, delta_end, &lists, &cut)) {
+      return Status::OK();
+    }
+    runner_.BeginPass(*plan, c.body.size());
+    Status status = Status::OK();
+    for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
+      if (cut[pivot].first == cut[pivot].second) continue;  // empty delta
+      int parts = ShardsFor(*plan, cut, pivot);
+      status = parts > 1
+                   ? RunShardedPivot(c, *plan, lists, cut, pivot, parts,
+                                     delta_begin, delta_end, round)
+                   : runner_.RunPivot(c, *plan, lists, cut, pivot,
+                                      delta_begin, delta_end, round);
+      if (!status.ok() || direct_sink_.Full()) break;
+    }
     // Adaptive selectivity feedback: per DECLARED body position, how many
     // candidates were unified against this pass and how many survived.
-    if (runner_.feedback_due()) {
-      plans_->Feedback(c.number, runner_.candidates(), runner_.accepted());
-    }
+    plans_->Feedback(c.number, runner_.candidates(), runner_.accepted());
     return status;
   }
 
-  // ---- parallel round ---------------------------------------------------
+  // Shard count of a nonempty pivot: 1 (inline) unless the engine is
+  // parallel, the pivot's execution order starts at the pivot itself (then
+  // depth 0 is a plain candidate sequence with no live binding slots) and
+  // its frozen window clears the partition threshold. The real factory
+  // must also stay well clear of the staging base, so staged ids remain
+  // recognizable at merge. Deterministic in the frozen window, so the
+  // choice never shows in any work-product output.
+  int ShardsFor(const plan::ClausePlan& plan,
+                const std::vector<std::pair<size_t, size_t>>& cut,
+                size_t pivot) {
+    if (!parallel_ || factory_.issued() >= kStagingVarBase / 2 ||
+        plan.order(pivot).steps[0].decl_pos != pivot) {
+      return 1;
+    }
+    int parts = plan::PartitionCountFor(cut[pivot].second - cut[pivot].first,
+                                        options_.num_threads);
+    if (parts == 1) stats_->partition_skipped_small++;
+    return parts;
+  }
 
-  // Per-clause window prep of one parallel round (PreparePass output plus
-  // the shard count chosen per pivot).
-  struct ClausePrep {
-    bool runnable = false;  ///< passed PreparePass's screens
-    std::vector<const std::vector<size_t>*> lists;
-    std::vector<std::pair<size_t, size_t>> cut;
-    std::vector<int> parts;  ///< shards per pivot (0: empty window)
-  };
-
-  // The persistent solver memo of one (clause, pivot, shard) slice,
-  // reused across ALL rounds of the run (the evaluator state is fixed for
-  // the run — the memo's validity contract): hit counts stay
-  // scheduling-independent because each cache belongs to a slice key, not
-  // a thread, and the sequential engine's own cross-round memo is matched
-  // instead of being thrown away per round.
-  SolveCache* SliceCache(size_t clause, size_t pivot, int shard) {
+  // The persistent solver memo of one (clause, pivot, shard), reused
+  // across ALL rounds of the run (the evaluator state is fixed for the
+  // run — the memo's validity contract): hit counts stay
+  // scheduling-independent because each cache belongs to a shard key, not
+  // a thread.
+  SolveCache* ShardCache(int clause, size_t pivot, int shard) {
     std::unique_ptr<SolveCache>& slot =
-        slice_caches_[std::make_tuple(clause, pivot, shard)];
+        shard_caches_[std::make_tuple(clause, pivot, shard)];
     if (slot == nullptr) slot = std::make_unique<SolveCache>();
     return slot.get();
   }
 
-  Status RunRoundParallel(size_t delta_begin, size_t delta_end, int round) {
-    const std::vector<Clause>& clauses = program_.clauses();
-    // Prefetch the round's plans on the engine thread — the same PlanFor
-    // sequence (clause order, once per round) the sequential engine
-    // issues, so cache evolution and hit counters match it exactly; the
-    // workers then share the immutable plans read-only. The inline
-    // fallback below reuses these plans instead of re-entering PlanFor,
-    // for the same reason.
-    if (plans_prefetched_.size() != clauses.size()) {
-      plans_prefetched_.resize(clauses.size());
+  // Runs one pivot's materialized depth-0 candidates as \p parts pool
+  // shards, then merges them in shard order. The depth-0 probe counters
+  // are counted once, by the materialization on the engine thread.
+  Status RunShardedPivot(const Clause& c, const plan::ClausePlan& plan,
+                         const std::vector<const std::vector<size_t>*>& lists,
+                         const std::vector<std::pair<size_t, size_t>>& cut,
+                         size_t pivot, int parts, size_t delta_begin,
+                         size_t delta_end, int round) {
+    std::vector<size_t> candidates;
+    runner_.MaterializePivotCandidates(c, plan, lists, cut, pivot,
+                                       delta_begin, delta_end, &candidates);
+    stats_->partitions_run += parts;
+    if (evaluator_ != nullptr) stats_->evaluator_clones += parts;
+    // Per-shard solver memos (see ShardCache), created here on the engine
+    // thread. Never share a memo across threads — even a caller-provided
+    // one (options.solver.cache / options.solve_cache) is swapped out;
+    // SolveCache is not synchronized.
+    std::vector<SolveCache*> caches(static_cast<size_t>(parts));
+    for (int shard = 0; shard < parts; ++shard) {
+      caches[shard] = ShardCache(c.number, pivot, shard);
     }
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (clauses[ci].IsFact()) continue;
-      plans_prefetched_[ci] = plans_->PlanFor(program_, clauses[ci]);
-    }
+    std::vector<ShardOutcome> outcomes(static_cast<size_t>(parts));
+    size_t frozen = view_.size();
+    MMV_RETURN_NOT_OK(plan::RunShards(
+        candidates.size(), parts, options_.num_threads, evaluator_,
+        "fixpoint pivot", [&](int shard, size_t begin, size_t end) {
+          ShardOutcome& out = outcomes[shard];
+          SolverOptions solver_options = options_.solver;
+          solver_options.cache = caches[shard];
+          Solver solver(evaluator_, solver_options);
+          VarFactory factory;
+          factory.ReserveAbove(kStagingVarBase);
+          StagingSink sink(options_, frozen, &out.atoms);
+          ClauseRunner runner(view_, options_, &solver, &factory);
+          runner.Bind(&out.stats, &sink);
+          out.status = runner.RunShard(c, plan, lists, cut, pivot, candidates,
+                                       begin, end, delta_begin, delta_end,
+                                       round);
+          out.cand = runner.candidates();
+          out.acc = runner.accepted();
+          out.capped = sink.capped();
+          out.solver = solver.stats();
+        }));
 
-    // Stage 1 — slice the round. Pure reads of the frozen windows (no
-    // stats writes), so the go/no-go decision below cannot skew any
-    // counter: a pivot is shardable when its execution order starts at
-    // the pivot itself (then depth 0 is a plain candidate sequence with
-    // no live binding slots), and worth sharding when its frozen window
-    // clears the partition threshold.
-    std::vector<ClausePrep> prep(clauses.size());
-    size_t total_slices = 0;
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      const Clause& c = clauses[ci];
-      if (c.IsFact()) continue;
-      ClausePrep& p = prep[ci];
-      p.runnable =
-          runner_.PreparePass(c, delta_begin, delta_end, &p.lists, &p.cut);
-      if (!p.runnable) continue;
-      const plan::ClausePlan& plan = *plans_prefetched_[ci];
-      p.parts.assign(c.body.size(), 0);
-      for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
-        if (p.cut[pivot].first == p.cut[pivot].second) continue;
-        size_t window = p.cut[pivot].second - p.cut[pivot].first;
-        bool shardable = plan.order(pivot).steps[0].decl_pos == pivot;
-        p.parts[pivot] =
-            shardable
-                ? plan::PartitionCountFor(window, options_.num_threads)
-                : 1;
-        total_slices += static_cast<size_t>(p.parts[pivot]);
+    // Deterministic merge: shard order, then each shard's enumeration
+    // order — the exact order RunPivot appends in.
+    for (ShardOutcome& out : outcomes) {
+      stats_->derivations_attempted += out.stats.derivations_attempted;
+      stats_->unsat_pruned += out.stats.unsat_pruned;
+      stats_->index_probes += out.stats.index_probes;
+      stats_->ground_rejects += out.stats.ground_rejects;
+      stats_->rename_skipped += out.stats.rename_skipped;
+      stats_->probe_intersections += out.stats.probe_intersections;
+      shard_solver_ += out.solver;
+      runner_.AddFeedback(out.cand, out.acc);
+      // A shard cut short by the staging budget may have stopped before
+      // derivations the sequential engine (capping on the DEDUPED view
+      // size) would still reach; if dedup then keeps the merged view
+      // under max_atoms the run would otherwise claim completeness while
+      // missing atoms — flag it truncated.
+      if (out.capped) stats_->truncated = true;
+      for (StagedAtom& staged : out.atoms) {
+        if (direct_sink_.Full()) {
+          stats_->truncated = true;
+          return Status::OK();  // Run()'s Capped() finishes the view
+        }
+        MergeStaged(std::move(staged));
       }
-    }
-
-    // Nothing worth fanning out: run the round sequentially in place
-    // (prefetched plans, same feedback and error semantics as the
-    // sequential clause loop; Run()'s Capped() finishes the view).
-    if (total_slices < 2) {
-      for (size_t ci = 0; ci < clauses.size(); ++ci) {
-        if (clauses[ci].IsFact()) continue;
-        Status status = runner_.RunPlanned(
-            clauses[ci], *plans_prefetched_[ci], delta_begin, delta_end,
-            round);
-        if (runner_.feedback_due()) {
-          plans_->Feedback(clauses[ci].number, runner_.candidates(),
-                           runner_.accepted());
-        }
-        MMV_RETURN_NOT_OK(status);
-        if (Capped()) return Status::OK();
-      }
-      return Status::OK();
-    }
-
-    // Stage 2 — materialize sharded pivots' candidate sequences and build
-    // the slice list. Depth-0 probe counters for sharded pivots are
-    // counted here, once per (clause, pivot), on the engine thread.
-    std::vector<std::vector<size_t>> pools;
-    std::vector<RoundSlice> slices;
-    slices.reserve(total_slices);
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (clauses[ci].IsFact() || !prep[ci].runnable) continue;
-      const Clause& c = clauses[ci];
-      ClausePrep& p = prep[ci];
-      for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
-        int parts = p.parts[pivot];
-        if (parts == 0) continue;  // empty delta window
-        if (parts == 1) {
-          bool shardable =
-              plans_prefetched_[ci]->order(pivot).steps[0].decl_pos == pivot;
-          if (shardable) stats_->partition_skipped_small++;
-          RoundSlice s;
-          s.clause = ci;
-          s.pivot = pivot;
-          s.cache = SliceCache(ci, pivot, 0);
-          slices.push_back(s);
-          continue;
-        }
-        stats_->partitions_run += parts;
-        pools.emplace_back();
-        runner_.MaterializePivotCandidates(c, *plans_prefetched_[ci],
-                                           p.lists, p.cut, pivot,
-                                           delta_begin, delta_end,
-                                           &pools.back());
-        size_t items = pools.back().size();
-        for (int shard = 0; shard < parts; ++shard) {
-          auto [begin, end] = plan::PartitionRange(items, parts, shard);
-          RoundSlice s;
-          s.clause = ci;
-          s.pivot = pivot;
-          s.sharded = true;
-          s.pool = pools.size() - 1;
-          s.begin = begin;
-          s.end = end;
-          s.cache = SliceCache(ci, pivot, shard);
-          slices.push_back(s);
-        }
-      }
-    }
-
-    // Thread-safe domain path: the evaluator vouched for concurrent pure
-    // reads (parallel_), so the workers call it directly — lock-free — and
-    // the epoch check after the fan-out polices the single-writer contract
-    // that claim rests on.
-    int64_t epoch_before = 0;
-    if (evaluator_ != nullptr) {
-      epoch_before = evaluator_->StateEpoch();
-      stats_->evaluator_clones += static_cast<int64_t>(slices.size());
-    }
-
-    std::vector<SliceOutcome> outcomes(slices.size());
-    auto run_slice = [&](size_t si) {
-      const RoundSlice& s = slices[si];
-      const Clause& c = clauses[s.clause];
-      const plan::ClausePlan& plan = *plans_prefetched_[s.clause];
-      const ClausePrep& p = prep[s.clause];
-      SliceOutcome& out = outcomes[si];
-      // Per-slice solver memo (see SliceCache): outcomes are identical
-      // to any shared memo's (fixed evaluator state), and a slice-owned
-      // one keeps the pass free of cross-thread coordination. Never
-      // share a memo across threads — even a caller-provided one
-      // (options.solver.cache / options.solve_cache) is swapped out
-      // here; SolveCache is not synchronized.
-      SolverOptions solver_options = options_.solver;
-      solver_options.cache = s.cache;
-      Solver solver(evaluator_, solver_options);
-      VarFactory factory;
-      factory.ReserveAbove(kStagingVarBase);
-      StagingSink sink(options_, view_.size());
-      sink.SetTarget(&out.atoms);
-      ClauseRunner runner(view_, options_, &solver, &factory);
-      runner.Bind(&out.stats, &sink);
-      if (s.sharded) {
-        out.status = runner.RunPivotSlice(c, plan, p.lists, p.cut, s.pivot,
-                                          pools[s.pool], s.begin, s.end,
-                                          delta_begin, delta_end, round);
-      } else {
-        out.status = runner.RunPivotPass(c, plan, p.lists, p.cut, s.pivot,
-                                         delta_begin, delta_end, round);
-      }
-      out.cand = runner.candidates();
-      out.acc = runner.accepted();
-      out.capped = sink.capped();
-      out.solver = solver.stats();
-    };
-    ThreadPool::Global().ParallelFor(slices.size(), options_.num_threads,
-                                     run_slice);
-
-    // The lock-free path reads the external state unguarded; a writer
-    // slipping in mid-round would have produced silently inconsistent
-    // derivations. Fail loudly instead of merging them.
-    if (evaluator_ != nullptr && evaluator_->StateEpoch() != epoch_before) {
-      return Status::Internal(
-          "external state changed under a parallel fixpoint round "
-          "(evaluator epoch " + std::to_string(epoch_before) + " -> " +
-          std::to_string(evaluator_->StateEpoch()) +
-          "); concurrent evaluation requires a quiescent external "
-          "database");
-    }
-
-    // Deterministic merge: clause order, then pivot, then shard, then
-    // each slice's enumeration order — the exact order the sequential
-    // engine appends in. Dedup, counters and plan feedback all happen
-    // here on the engine thread. Feedback sums each clause's counters
-    // over its slices (a runnable clause whose windows were all empty
-    // still reports zeros, like the sequential pass).
-    size_t si = 0;
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-      if (clauses[ci].IsFact() || !prep[ci].runnable) continue;
-      size_t n = clauses[ci].body.size();
-      std::vector<int64_t> cand(n, 0), acc(n, 0);
-      Status clause_status = Status::OK();
-      for (; si < slices.size() && slices[si].clause == ci; ++si) {
-        SliceOutcome& out = outcomes[si];
-        stats_->derivations_attempted += out.stats.derivations_attempted;
-        stats_->unsat_pruned += out.stats.unsat_pruned;
-        stats_->index_probes += out.stats.index_probes;
-        stats_->ground_rejects += out.stats.ground_rejects;
-        stats_->rename_skipped += out.stats.rename_skipped;
-        stats_->probe_intersections += out.stats.probe_intersections;
-        parallel_solver_ += out.solver;
-        for (size_t pos = 0; pos < n; ++pos) {
-          cand[pos] += out.cand[pos];
-          acc[pos] += out.acc[pos];
-        }
-        // A slice cut short by the staging budget may have stopped before
-        // derivations the sequential engine (capping on the DEDUPED view
-        // size) would still reach; if dedup then keeps the merged view
-        // under max_atoms the run would otherwise claim completeness
-        // while missing atoms — flag it truncated.
-        if (out.capped) stats_->truncated = true;
-        if (clause_status.ok() && !out.status.ok()) {
-          clause_status = out.status;
-        }
-        for (StagedAtom& staged : out.atoms) {
-          if (view_.size() >= options_.max_atoms) {
-            stats_->truncated = true;
-            return Status::OK();  // Run()'s Capped() finishes the view
-          }
-          MergeStaged(std::move(staged));
-        }
-      }
-      plans_->Feedback(clauses[ci].number, cand, acc);
-      MMV_RETURN_NOT_OK(clause_status);
+      MMV_RETURN_NOT_OK(out.status);
     }
     return Status::OK();
   }
 
   // Replays one staged derivation into the view: dedup exactly as AddAtom
   // would (the canonical key was precomputed in the worker), then rename
-  // the pass-local staging variables into the engine's real factory.
+  // the shard-local staging variables into the engine's real factory.
   void MergeStaged(StagedAtom staged) {
     if (options_.semantics == DupSemantics::kDuplicate) {
       if (view_.HasSupport(staged.atom.support)) {
@@ -1179,18 +945,14 @@ class Engine {
         return;
       }
     }
-    RemapStagingVars(&staged.atom);
+    // Every staging-range variable maps (first-appearance order —
+    // deterministic) to a fresh variable from the real factory. Distinct
+    // derivations never share fresh variables, so the per-atom map is
+    // exact even though shards reuse the same staging id range.
+    RemapVarsAtOrAbove(kStagingVarBase, &factory_, &staged.atom.args,
+                       &staged.atom.constraint, &var_set_);
     stats_->atoms_created++;
     view_.Add(std::move(staged.atom));
-  }
-
-  // Maps every staging-range variable of \p atom (first-appearance order —
-  // deterministic) to a fresh variable from the real factory. Distinct
-  // derivations never share fresh variables, so the per-atom map is exact
-  // even though different tasks reuse the same staging id range.
-  void RemapStagingVars(ViewAtom* atom) {
-    RemapVarsAtOrAbove(kStagingVarBase, &factory_, &atom->args,
-                       &atom->constraint, &var_set_);
   }
 
   // Appends the atom unless it is a duplicate. The view's own indexes
@@ -1234,16 +996,15 @@ class Engine {
 
   View view_;
   DirectSink direct_sink_;
-  ClauseRunner runner_;  // the sequential pass executor (facts + rounds)
-  VarSet var_set_;       // scratch for RemapStagingVars
+  ClauseRunner runner_;  // the engine's pass executor (facts + rounds)
+  VarSet var_set_;       // scratch for MergeStaged's remap
   std::unordered_set<CanonicalKey, CanonicalKey::Hasher> canonical_seen_;
   std::string canonical_scratch_;
 
-  // Parallel-round state.
-  std::map<std::tuple<size_t, size_t, int>, std::unique_ptr<SolveCache>>
-      slice_caches_;  // per (clause, pivot, shard), whole run
-  std::vector<std::shared_ptr<const plan::ClausePlan>> plans_prefetched_;
-  SolveStats parallel_solver_;  // workers' solver counters, merge order
+  // Sharded-pivot state.
+  std::map<std::tuple<int, size_t, int>, std::unique_ptr<SolveCache>>
+      shard_caches_;  // per (clause number, pivot, shard), whole run
+  SolveStats shard_solver_;  // shards' solver counters, merge order
 };
 
 }  // namespace

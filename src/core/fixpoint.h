@@ -99,21 +99,20 @@ struct FixpointOptions {
   bool derive_facts = true;
   /// Body-join strategy; kNaive is the differential-testing oracle.
   JoinMode join_mode = JoinMode::kIndexed;
-  /// Worker threads for the per-round clause passes. 1 (default) runs the
-  /// engine exactly as before; N > 1 fans each round out along two axes:
-  /// every (clause, seminaive pivot) pass is its own task, and a pivot
-  /// whose frozen delta window is large enough (plan/partition.h) is
-  /// hash-range-split further into up to N shards — so even a single
-  /// recursive clause (one SCC, where the old per-head-group strata
-  /// degenerated to one task) parallelizes. Each task runs against the
-  /// round's read-only delta window with a private staging sink, solver
-  /// and fresh-var factory; staged atoms merge once per round in (clause,
-  /// pivot, shard, enumeration) order — exactly the sequential append
-  /// order — so canonical atom sets, support multisets and the derivation
-  /// counters are identical to num_threads=1 whatever the thread count.
-  /// (Fresh-variable NUMBERING and solver-memo hit counts may differ —
-  /// the same non-contract PR-3 carved out between join modes. Truncated
-  /// runs — max_atoms / max_iterations — may cut off at different atoms.)
+  /// Worker threads for sharded pivots. 1 (default) runs every pivot
+  /// inline. With N > 1 the engine still runs each round's clauses and
+  /// each clause's seminaive pivots one after another; a pivot fans out
+  /// only when its execution order starts at the pivot and its frozen
+  /// delta window is large enough to split (plan/partition.h) — then its
+  /// depth-0 candidates run as up to N contiguous shards, each with a
+  /// private staging sink, solver memo and fresh-var factory against the
+  /// read-only view, merged in (shard, enumeration) order before the next
+  /// pivot runs. That is exactly the sequential append order, so canonical
+  /// atom sets, support multisets and the derivation counters are
+  /// identical to num_threads=1 whatever the thread count. (Fresh-variable
+  /// NUMBERING and solver-memo hit counts may differ — the same
+  /// non-contract PR-3 carved out between join modes. Truncated runs —
+  /// max_atoms / max_iterations — may cut off at different atoms.)
   /// Parallel execution requires the kIndexed planned executor and an
   /// evaluator that is null or reports ConcurrentReadSafe(); naive-join,
   /// non-read-safe or fallback configurations run sequentially whatever
@@ -168,10 +167,10 @@ struct FixpointStats {
   // the byte-identity contract across thread counts).
   int64_t partitions_run = 0;     ///< delta-window shards executed as their
                                   ///  own tasks (0 when sequential)
-  int64_t partition_skipped_small = 0;  ///< shardable pivot windows left
-                                        ///  whole: below the size threshold
-  int64_t evaluator_clones = 0;   ///< parallel tasks that share the
-                                  ///  caller's concurrent-read evaluator
+  int64_t partition_skipped_small = 0;  ///< shardable pivot windows run
+                                        ///  inline: below the size threshold
+  int64_t evaluator_clones = 0;   ///< shards that share the caller's
+                                  ///  concurrent-read evaluator
   bool truncated = false;         ///< hit max_iterations / max_atoms
   SolveStats solver;              ///< aggregated solver counters
                                   ///  (solver.cache_hits: memo hits)

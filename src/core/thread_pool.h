@@ -1,5 +1,6 @@
-// A lazily-grown, process-wide worker pool for the parallel-strata
-// executor (core/fixpoint.cc) and StDel's parallel step-3 lift checks.
+// A lazily-grown, process-wide worker pool for the engine's sharded
+// fan-out (plan::RunShards): the fixpoint's sharded pivots
+// (core/fixpoint.cc) and StDel's parallel step-3 lift checks.
 //
 // Design constraints, in order:
 //   1. Determinism is the CALLER's job: ParallelFor only promises that
@@ -7,8 +8,8 @@
 //      results into per-item slots and merge them in a fixed order, so the
 //      work-claiming order (an atomic ticket) never shows in any output.
 //   2. One pool per process: maintenance layers call ParallelFor once per
-//      fixpoint round / propagation pair, and paying thread creation per
-//      call would swamp the parallelism on small rounds. The pool grows to
+//      sharded pivot / propagation pair, and paying thread creation per
+//      call would swamp the parallelism on small fan-outs. The pool grows to
 //      the largest parallelism ever requested and its threads idle on a
 //      condition variable between batches.
 //   3. Batches never nest: a ParallelFor issued while another is running

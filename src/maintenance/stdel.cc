@@ -6,7 +6,6 @@
 
 #include "constraint/simplify.h"
 #include "constraint/solve_cache.h"
-#include "core/thread_pool.h"
 #include "plan/partition.h"
 #include "plan/plan_cache.h"
 
@@ -213,10 +212,10 @@ Status DeleteStDelBatch(const Program& program, View* view,
     // if the run's real factory ever nears kStagingVarBase (ids seeded
     // from the view's high-water mark), RemapStagingVars could rebind REAL
     // variables of the lifted constraint — fall back to the sequential
-    // sweep, mirroring the fixpoint engine's per-round guard. Each fan-out
-    // is chunked into contiguous item shards (plan/partition.h, the same
-    // arithmetic the fixpoint round uses): one task per shard instead of
-    // one per item, and parent sweeps too small to amortize the staging
+    // sweep, mirroring the fixpoint engine's per-pivot guard. Each fan-out
+    // is chunked into contiguous item shards (plan::RunShards, the runner
+    // the fixpoint's sharded pivots use): one task per shard instead of one
+    // per item, and parent sweeps too small to amortize the staging
     // overhead stay sequential.
     int parts = 1;
     if (lift_threads > 1 && parents.size() > 1 &&
@@ -245,13 +244,13 @@ Status DeleteStDelBatch(const Program& program, View* view,
       if (evaluator != nullptr) {
         stats->evaluator_clones += static_cast<int64_t>(lift_items.size());
       }
-      int64_t epoch_before =
-          evaluator != nullptr ? evaluator->StateEpoch() : 0;
       std::vector<LiftOutcome> outcomes(lift_items.size());
-      ThreadPool::Global().ParallelFor(
-          static_cast<size_t>(parts), lift_threads, [&](size_t shard) {
-            auto [item_begin, item_end] = plan::PartitionRange(
-                lift_items.size(), parts, static_cast<int>(shard));
+      // A writer slipping in mid-sweep would have produced silently
+      // inconsistent lift verdicts: RunShards fails loudly instead, and
+      // nothing is applied.
+      MMV_RETURN_NOT_OK(plan::RunShards(
+          lift_items.size(), parts, lift_threads, evaluator,
+          "StDel lift sweep", [&](int, size_t item_begin, size_t item_end) {
             for (size_t i = item_begin; i < item_end; ++i) {
               const LiftItem& item = lift_items[i];
               LiftOutcome& out = outcomes[i];
@@ -282,18 +281,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
               out.applicable = true;
               out.lifted = std::move(lifted);
             }
-          });
-      // The lock-free path reads the external state unguarded; a writer
-      // slipping in mid-sweep would have produced silently inconsistent
-      // lift verdicts. Fail loudly instead of applying them.
-      if (evaluator != nullptr && evaluator->StateEpoch() != epoch_before) {
-        return Status::Internal(
-            "external state changed under a parallel StDel lift sweep "
-            "(evaluator epoch " + std::to_string(epoch_before) + " -> " +
-            std::to_string(evaluator->StateEpoch()) +
-            "); concurrent evaluation requires a quiescent external "
-            "database");
-      }
+          }));
       // Apply phase: the sequential sweep's parent order.
       for (size_t i = 0; i < lift_items.size(); ++i) {
         LiftOutcome& out = outcomes[i];

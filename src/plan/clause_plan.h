@@ -18,9 +18,9 @@
 // selection — bit-compatible with the PR-3 indexed join, kept as the
 // plan-off baseline.
 //
-// Plans are immutable once built and handed out as shared_ptr<const>, so a
-// future parallel-strata executor can share one PlanCache across threads
-// with per-round read-only access.
+// Plans are immutable once built and handed out as shared_ptr<const>, so
+// the shards of a sharded pivot read one plan concurrently while the
+// engine thread alone talks to the PlanCache.
 
 #ifndef MMV_PLAN_CLAUSE_PLAN_H_
 #define MMV_PLAN_CLAUSE_PLAN_H_

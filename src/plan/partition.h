@@ -1,34 +1,41 @@
-// Partition-count selection for intra-pass fan-out.
+// Sharded fan-out: the engine's one parallel axis.
 //
-// A parallel fixpoint round shards the depth-0 candidate sequence of a
-// (clause, pivot) pass — the seminaive pivot bucket — into contiguous
-// ranges, one ThreadPool task each. The split must be deterministic (it
+// The fixpoint engine shards the depth-0 candidate sequence of a large
+// (clause, pivot) window — the seminaive pivot bucket — into contiguous
+// ranges, one ThreadPool task each; StDel's step-3 shards a P_OUT pair's
+// parent lift checks the same way. The split must be deterministic (it
 // feeds a byte-identity merge) and must never split or duplicate an entry,
-// so both the shard count and the range arithmetic live here, shared by
-// the fixpoint engine and StDel's step-3 fan-out and unit-tested directly.
+// so the shard count, the range arithmetic and the epoch-guarded runner
+// live here, shared by both sites and unit-tested directly.
 
 #ifndef MMV_PLAN_PARTITION_H_
 #define MMV_PLAN_PARTITION_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <utility>
 
+#include "common/status.h"
+
 namespace mmv {
+
+class DcaEvaluator;
+
 namespace plan {
 
-/// \brief Minimum depth-0 candidates per shard before a pivot pass is
+/// \brief Minimum depth-0 candidates per shard before a pivot window is
 /// worth splitting: below this, staging/merge bookkeeping outweighs the
-/// join work a shard would carry. Passes under 2x this threshold run whole
-/// (reported as partition_skipped_small).
+/// join work a shard would carry. Windows under 2x this threshold run
+/// inline (reported as partition_skipped_small).
 constexpr size_t kMinPartitionItems = 64;
 
 /// \brief Number of contiguous shards for \p items work units, at most
 /// \p max_partitions, requiring at least \p min_per_shard items per shard.
 /// Returns 1 ("do not split") for sequential callers, empty inputs and
 /// windows too small to amortize the fan-out. Deterministic in its
-/// arguments only — never in thread scheduling — so a parallel round's
-/// shard layout is a pure function of the frozen delta window.
+/// arguments only — never in thread scheduling — so a sharded pivot's
+/// layout is a pure function of its frozen delta window.
 inline int PartitionCountFor(size_t items, int max_partitions,
                              size_t min_per_shard = kMinPartitionItems) {
   if (max_partitions <= 1 || min_per_shard == 0) return 1;
@@ -53,6 +60,17 @@ inline std::pair<size_t, size_t> PartitionRange(size_t items, int partitions,
   size_t end = begin + base + (s < rem ? 1 : 0);
   return {begin, end};
 }
+
+/// \brief Runs fn(shard, begin, end) over the PartitionRange of every
+/// shard in [0, \p partitions) on the global ThreadPool, with at most
+/// \p max_threads threads. The shards share \p evaluator (may be null)
+/// lock-free, which is sound only while no writer moves its external
+/// state: the StateEpoch is captured before the fan-out and re-checked
+/// after, and a move fails the call with Status::Internal naming \p what.
+/// On that error the caller must discard the shards' outputs unmerged.
+Status RunShards(size_t items, int partitions, int max_threads,
+                 const DcaEvaluator* evaluator, const char* what,
+                 const std::function<void(int, size_t, size_t)>& fn);
 
 }  // namespace plan
 }  // namespace mmv

@@ -40,8 +40,6 @@ void PlanCache::Revalidate(const Program& program) {
   if (have_program_) stats_.invalidations++;
   plans_.clear();
   observed_.clear();
-  strata_.reset();
-  strata_clauses_ = 0;
   program_id_ = program.id();
   have_program_ = true;
 }
@@ -84,18 +82,6 @@ std::shared_ptr<const ClausePlan> PlanCache::PlanFor(const Program& program,
   return entry.plan;
 }
 
-std::shared_ptr<const StrataInfo> PlanCache::StrataFor(
-    const Program& program) {
-  Revalidate(program);
-  // Appending clauses keeps the identity (and the compiled plans) but can
-  // rewire the dependency graph — rebuild when the clause count moved.
-  if (strata_ == nullptr || strata_clauses_ != program.size()) {
-    strata_ = std::make_shared<const StrataInfo>(ComputeStrata(program));
-    strata_clauses_ = program.size();
-  }
-  return strata_;
-}
-
 void PlanCache::Feedback(int clause_number,
                          const std::vector<int64_t>& candidates,
                          const std::vector<int64_t>& accepted) {
@@ -118,8 +104,6 @@ void PlanCache::Feedback(int clause_number,
 void PlanCache::Clear() {
   plans_.clear();
   observed_.clear();
-  strata_.reset();
-  strata_clauses_ = 0;
   have_program_ = false;
   program_id_ = 0;
 }

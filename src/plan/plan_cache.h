@@ -34,7 +34,6 @@
 
 #include "core/program.h"
 #include "plan/clause_plan.h"
-#include "plan/strata.h"
 
 namespace mmv {
 namespace plan {
@@ -83,13 +82,6 @@ class PlanCache {
   std::shared_ptr<const ClausePlan> PlanFor(const Program& program,
                                             const Clause& clause);
 
-  /// \brief The strata decomposition of \p program (see strata.h), computed
-  /// once per program identity and cached alongside the plans. Shares the
-  /// plans' validity rule: a different program flushes the whole cache,
-  /// appending clauses to the same program recomputes the strata only
-  /// (clause plans stay valid; the dependency graph may have changed).
-  std::shared_ptr<const StrataInfo> StrataFor(const Program& program);
-
   /// \brief Reports one executor pass over clause \p clause_number:
   /// per DECLARED body position, how many candidate atoms were unified
   /// against and how many survived. Sizes must match the clause's body.
@@ -130,8 +122,6 @@ class PlanCache {
   bool have_program_ = false;
   std::unordered_map<int, Entry> plans_;
   std::unordered_map<int, Observed> observed_;
-  std::shared_ptr<const StrataInfo> strata_;
-  size_t strata_clauses_ = 0;  ///< program size the strata were built from
   PlanCacheStats stats_;
 };
 

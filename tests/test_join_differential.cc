@@ -126,10 +126,10 @@ std::vector<int> ThreadSweep() {
   return sweep;
 }
 
-// Parallel strata execution must match the sequential engine in everything
+// Parallel execution must match the sequential engine in everything
 // contractual: canonical atom multiset, support multiset — under BOTH
-// semantics, since the per-round merge replays the sequential (clause
-// index, enumeration) append order, so even set-semantics representative
+// semantics, since each sharded pivot's merge replays the sequential
+// (shard, enumeration) append order, so even set-semantics representative
 // supports coincide — and the derivation counters. (Fresh-variable
 // numbering and solver cache_hits are the carved-out non-contract.)
 void ExpectThreadsAgree(const Program& p, DcaEvaluator* eval,
@@ -181,11 +181,10 @@ void RunRandomPrograms(DupSemantics semantics, uint64_t seed_base,
 }
 
 // Directed single-SCC recursion through the same thread sweep: one
-// recursive predicate group, so the strata axis contributes nothing and
-// every bit of parallelism is intra-SCC delta partitioning. The chain
-// exercises many small rounds (slices below the partition threshold); the
-// star's 301-edge fact window clears it, so the pivot bucket is actually
-// sharded across workers.
+// recursive predicate group, so all parallelism comes from sharding a
+// pivot window. The chain exercises many small rounds (windows below the
+// partition threshold, run inline); the star's 301-edge fact window
+// clears it, so the pivot bucket is actually sharded across workers.
 TEST(JoinDifferential, SingleSccRecursionThreadSweep) {
   TestWorld w = TestWorld::Make();
   for (DupSemantics semantics :

@@ -1,8 +1,7 @@
-// Unit tests for the strata subsystem (plan/strata.h): SCC condensation
-// and topological layering of the head-predicate dependency graph, the
-// PlanCache's strata caching, the thread-pool primitive, and the parallel
-// engine's determinism on hand-built programs (the broad randomized
-// differential sweep lives in test_join_differential.cc).
+// Unit tests for the parallel engine's building blocks — the thread-pool
+// primitive and the pivot-window partitioning — and the engine's
+// determinism, truncation and epoch guards on hand-built programs (the
+// broad randomized differential sweep lives in test_join_differential.cc).
 
 #include <gtest/gtest.h>
 
@@ -18,8 +17,6 @@
 #include "core/thread_pool.h"
 #include "maintenance/batch.h"
 #include "plan/partition.h"
-#include "plan/plan_cache.h"
-#include "plan/strata.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -29,139 +26,6 @@ namespace {
 using testutil::ParseOrDie;
 using testutil::TestWorld;
 using testutil::Unwrap;
-
-// Group membership as "pred,pred" strings per stratum, for readable
-// assertions that ignore nothing.
-std::vector<std::set<std::string>> Layers(const plan::StrataInfo& info) {
-  std::vector<std::set<std::string>> out;
-  for (const plan::Stratum& s : info.strata) {
-    std::set<std::string> groups;
-    for (const plan::PredGroup& g : s.groups) {
-      std::string members;
-      for (size_t i = 0; i < g.preds.size(); ++i) {
-        if (i > 0) members += ',';
-        members += g.preds[i].name();
-      }
-      if (g.recursive) members += '*';
-      groups.insert(members);
-    }
-    out.push_back(std::move(groups));
-  }
-  return out;
-}
-
-TEST(StrataTest, ChainLayersInDependencyOrder) {
-  Program p = ParseOrDie(
-      "p1(X) <- true || p0(X).\n"
-      "p2(X) <- true || p1(X).\n"
-      "p3(X) <- true || p2(X).\n"
-      "p0(X) <- X = 1.\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  EXPECT_EQ(info.group_count, 4u);
-  ASSERT_EQ(info.strata.size(), 4u);
-  EXPECT_EQ(Layers(info), (std::vector<std::set<std::string>>{
-                              {"p0"}, {"p1"}, {"p2"}, {"p3"}}));
-  EXPECT_EQ(info.StratumOf("p0"), 0);
-  EXPECT_EQ(info.StratumOf("p3"), 3);
-  EXPECT_EQ(info.StratumOf("edb_only"), -1);
-}
-
-TEST(StrataTest, DisconnectedPredicatesShareOneStratum) {
-  // a and b never feed each other: both land in stratum 0, two groups —
-  // the parallel executor's independence unit.
-  Program p = ParseOrDie(
-      "a(X) <- true || e1(X).\n"
-      "b(X) <- true || e2(X).\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 1u);
-  EXPECT_EQ(Layers(info)[0],
-            (std::set<std::string>{"a", "b"}));
-  EXPECT_EQ(info.group_count, 2u);
-}
-
-TEST(StrataTest, SelfLoopIsARecursiveSingletonGroup) {
-  Program p = ParseOrDie(
-      "tc(X, Y) <- true || e(X, Y).\n"
-      "tc(X, Z) <- true || tc(X, Y), e(Y, Z).\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 1u);
-  EXPECT_EQ(Layers(info)[0], (std::set<std::string>{"tc*"}));
-  const plan::PredGroup& g = info.strata[0].groups[0];
-  EXPECT_TRUE(g.recursive);
-  EXPECT_EQ(g.clauses, (std::vector<size_t>{0, 1}));
-}
-
-TEST(StrataTest, MutualRecursionCollapsesIntoOneGroup) {
-  Program p = ParseOrDie(
-      "even(X) <- true || odd(X).\n"
-      "odd(X) <- true || even(X).\n"
-      "top(X) <- true || even(X).\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  EXPECT_EQ(info.group_count, 2u);
-  ASSERT_EQ(info.strata.size(), 2u);
-  EXPECT_EQ(Layers(info), (std::vector<std::set<std::string>>{
-                              {"even,odd*"}, {"top"}}));
-  EXPECT_EQ(info.StratumOf("even"), info.StratumOf("odd"));
-}
-
-TEST(StrataTest, DiamondDependenciesLayerByLongestPath) {
-  Program p = ParseOrDie(
-      "b(X) <- true || a(X).\n"
-      "c(X) <- true || a(X).\n"
-      "d(X) <- true || b(X), c(X).\n"
-      "a(X) <- X = 1.\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 3u);
-  EXPECT_EQ(Layers(info), (std::vector<std::set<std::string>>{
-                              {"a"}, {"b", "c"}, {"d"}}));
-}
-
-TEST(StrataTest, FactsOnlyProgramIsOneStratumOfLeaves) {
-  Program p = ParseOrDie("f(X) <- X = 1.\ng(X) <- X = 2.\n");
-  plan::StrataInfo info = plan::ComputeStrata(p);
-  ASSERT_EQ(info.strata.size(), 1u);
-  EXPECT_EQ(info.group_count, 2u);
-  EXPECT_TRUE(plan::ComputeStrata(Program()).strata.empty());
-}
-
-TEST(StrataTest, DeterministicAcrossRecomputation) {
-  Rng rng(11);
-  workload::RandomProgramOptions o;
-  o.base_preds = 3;
-  o.derived_preds = 4;
-  Program p = workload::MakeRandomProgram(&rng, o);
-  EXPECT_EQ(plan::ComputeStrata(p).ToString(),
-            plan::ComputeStrata(p).ToString());
-}
-
-TEST(StrataTest, PlanCacheCachesAndInvalidatesStrata) {
-  Program p = ParseOrDie(
-      "b(X) <- true || a(X).\n"
-      "a(X) <- X = 1.\n");
-  plan::PlanCache cache;
-  std::shared_ptr<const plan::StrataInfo> first = cache.StrataFor(p);
-  EXPECT_EQ(first.get(), cache.StrataFor(p).get());  // cached
-
-  // Appending a clause keeps the program identity but must rebuild the
-  // strata: the dependency graph changed.
-  {
-    Clause c;
-    c.head_pred = "c";
-    VarId x = p.factory()->Fresh();
-    c.head_args = {Term::Var(x)};
-    c.body.push_back(BodyAtom{"b", {Term::Var(x)}});
-    p.AddClause(std::move(c));
-  }
-  std::shared_ptr<const plan::StrataInfo> grown = cache.StrataFor(p);
-  EXPECT_NE(first.get(), grown.get());
-  EXPECT_EQ(grown->strata.size(), 3u);
-
-  // A copied program is a different identity: the cache flushes.
-  Program copy = p;
-  std::shared_ptr<const plan::StrataInfo> other = cache.StrataFor(copy);
-  EXPECT_NE(grown.get(), other.get());
-  EXPECT_EQ(other->ToString(), grown->ToString());
-}
 
 // ---- thread pool ----------------------------------------------------------
 
@@ -297,9 +161,8 @@ TEST(ParallelStrataTest, GuardedMultiChainMatchesSequentialByteForByte) {
 
 // Transitive closure over \p edges with a DCA guard on the recursive
 // clause — in(S, arith:plus(X,Y)) — so every recursive derivation pays a
-// real domain evaluation. One recursive predicate means ONE SCC: the
-// strata axis offers no parallelism at all, and any fan-out comes from
-// intra-SCC delta partitioning.
+// real domain evaluation. One recursive predicate means ONE SCC: any
+// fan-out comes from sharding a large pivot window.
 Program MakeGuardedTc(const std::vector<std::pair<int, int>>& edges) {
   Program p;
   for (const auto& [from, to] : edges) {
@@ -338,8 +201,8 @@ Program MakeGuardedTc(const std::vector<std::pair<int, int>>& edges) {
 }
 
 // Byte-identity for both semantics on a single-SCC recursive chain: many
-// small rounds where the per-(clause, pivot) slices carry all of the
-// parallelism (the windows stay below the partition threshold).
+// small rounds whose windows all stay below the partition threshold, so
+// every pivot runs inline whatever the thread count.
 TEST(ParallelStrataTest, SingleSccGuardedTcMatchesSequentialByteForByte) {
   TestWorld w = TestWorld::Make();
   std::vector<std::pair<int, int>> edges;
@@ -410,32 +273,149 @@ TEST(ParallelStrataTest, ShardedSingleSccStarMatchesSequentialByteForByte) {
 }
 
 // Regression: the staging budget counts PRE-dedup atoms, so a capped
-// parallel pass may stop before derivations the sequential engine (which
-// caps on the deduped view size) would still reach. Such runs must report
+// shard may stop before derivations the sequential engine (which caps on
+// the deduped view size) would still reach. Such runs must report
 // truncated=true — silently returning an incomplete view as complete is
 // the one way the parallel engine could lie.
 TEST(ParallelStrataTest, StagingBudgetCutoffIsFlaggedTruncated) {
   TestWorld w = TestWorld::Make();
   std::ostringstream os;
-  for (int i = 0; i < 10; ++i) os << "a(X) <- X = " << i << ".\n";
-  for (int i = 0; i < 3; ++i) os << "t(X) <- X = " << 100 + i << ".\n";
+  for (int i = 0; i < 200; ++i) os << "a(X) <- X = " << i << ".\n";
+  for (int i = 0; i < 10; ++i) os << "t(X) <- X = " << 1000 + i << ".\n";
   os << "e(X) <- true || a(X), t(Y).\n";
   Program p = ParseOrDie(os.str());
   FixpointOptions opts;
   opts.semantics = DupSemantics::kSet;
   opts.num_threads = 4;
-  // 13 facts + a 12-atom per-slice staging budget. The clause's two pivot
-  // slices make the round fan out; the a-pivot slice enumerates 30
-  // (a, t) pairs projecting to 10 canonical e atoms, stages 12 raw
-  // derivations (4 uniques + 8 canonical duplicates under kSet), caps,
-  // and never reaches the rest — while the MERGED view lands at 17 < 25,
-  // so only the capped-sink flag can report the cutoff (the view-size
-  // cap never fires).
-  opts.max_atoms = 25;
+  // 210 facts, then one round whose a-pivot window (200 atoms) splits into
+  // 3 shards of ~67 a atoms. Each shard enumerates ~670 (a, t) pairs
+  // projecting to ~67 canonical e atoms, but its staging budget caps at
+  // 500 - 210 = 290 raw derivations (29 uniques + canonical duplicates)
+  // and never reaches the rest — while the MERGED view lands near
+  // 210 + 3 * 29 < 500, so only the capped-shard flag can report the
+  // cutoff (the view-size cap never fires). Unsharded, the run is
+  // complete at 410 atoms.
+  opts.max_atoms = 500;
   FixpointStats stats;
   View v = Unwrap(Materialize(p, w.domains.get(), opts, &stats));
+  EXPECT_GT(stats.partitions_run, 0);
   EXPECT_TRUE(stats.truncated);
-  EXPECT_LT(v.size(), 25u);
+  EXPECT_LT(v.size(), 410u);
+}
+
+// Small windows never fan out: a continuation whose pivot windows all stay
+// under the partition threshold runs every pivot inline at any thread
+// count — no shard, no evaluator sharing — and so renders exactly the
+// 1-thread view, fresh-variable numbering included.
+TEST(ParallelStrataTest, SmallWindowsRunInline) {
+  TestWorld w = TestWorld::Make();
+  const int chains = 8, width = 16, k = 16;
+  Program p = workload::MakeGuardedMultiChain(chains, /*depth=*/8, width);
+  View base = Unwrap(Materialize(p, w.domains.get(), FixpointOptions()));
+  auto run = [&](int threads, FixpointStats* stats) {
+    View v = base;
+    size_t delta_begin = v.size();
+    for (int i = 0; i < k; ++i) {
+      ViewAtom a;
+      a.pred = "c" + std::to_string(i % chains) + "_p0";
+      a.args = {Term::Const(Value(width + 1000 + i / chains))};
+      a.support = Support(-1 - i);
+      v.Add(std::move(a));
+    }
+    FixpointOptions opts;
+    opts.num_threads = threads;
+    Status s = ContinueFixpoint(p, &v, w.domains.get(), opts, stats,
+                                delta_begin);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return v;
+  };
+  FixpointStats seq, par;
+  View sequential = run(1, &seq);
+  View parallel = run(4, &par);
+  EXPECT_GT(parallel.size(), base.size() + k);  // the continuation derived
+  EXPECT_EQ(sequential.ToString(), parallel.ToString());
+  EXPECT_EQ(seq.atoms_created, par.atoms_created);
+  EXPECT_EQ(seq.derivations_attempted, par.derivations_attempted);
+  EXPECT_EQ(seq.index_probes, par.index_probes);
+  EXPECT_EQ(seq.iterations, par.iterations);
+  EXPECT_EQ(par.partitions_run, 0);
+  EXPECT_EQ(par.evaluator_clones, 0);
+}
+
+// A concurrent-read-safe evaluator whose external state moves while
+// shards run: every Evaluate() call advances the epoch, standing in for a
+// writer that slipped in mid-fan-out. Delegates the actual evaluation.
+class MovingEpochEvaluator : public DcaEvaluator {
+ public:
+  explicit MovingEpochEvaluator(DcaEvaluator* inner) : inner_(inner) {}
+  Result<DcaResult> Evaluate(const std::string& domain,
+                             const std::string& function,
+                             const std::vector<Value>& args) override {
+    epoch_++;
+    return inner_->Evaluate(domain, function, args);
+  }
+  int64_t StateEpoch() const override { return epoch_.load(); }
+  bool ConcurrentReadSafe() const override { return true; }
+
+ private:
+  DcaEvaluator* inner_;
+  std::atomic<int64_t> epoch_{0};
+};
+
+// 300 spokes into hub 0 plus the edge 0 -> 1: the recursive clause's
+// path-pivot window holds 301 atoms and shards, and the shard holding
+// path(0, 1) pays 300 guarded evaluations.
+std::vector<std::pair<int, int>> StarEdges() {
+  std::vector<std::pair<int, int>> edges;
+  for (int j = 2; j <= 301; ++j) edges.push_back({j, 0});
+  edges.push_back({0, 1});
+  return edges;
+}
+
+// True when \p s is the loud epoch-mismatch failure of fan-out \p site.
+bool IsEpochMismatch(const Status& s, const std::string& site) {
+  return s.code() == StatusCode::kInternal &&
+         s.message().find("external state changed under a parallel " +
+                          site) != std::string::npos;
+}
+
+TEST(ParallelStrataTest, EpochMoveUnderShardedPivotFailsLoudly) {
+  TestWorld w = TestWorld::Make();
+  Program p = MakeGuardedTc(StarEdges());
+  FixpointOptions opts;
+  opts.max_iterations = 0;  // the edge facts only
+  View v = Unwrap(Materialize(p, w.domains.get(), opts));
+  ASSERT_EQ(v.size(), 301u);
+  opts.max_iterations = 100;
+  opts.num_threads = 4;
+  MovingEpochEvaluator moving(w.domains.get());
+  FixpointStats stats;
+  Status s = ContinueFixpoint(p, &v, &moving, opts, &stats,
+                              /*delta_begin=*/0);
+  EXPECT_TRUE(IsEpochMismatch(s, "fixpoint pivot")) << s.ToString();
+  EXPECT_GT(stats.partitions_run, 0);
+}
+
+TEST(ParallelStrataTest, EpochMoveUnderLiftSweepFailsLoudly) {
+  TestWorld w = TestWorld::Make();
+  Program p = MakeGuardedTc(StarEdges());
+  FixpointOptions opts;
+  View v = Unwrap(Materialize(p, w.domains.get(), opts));
+  // Deleting e(0, 1) retracts path(0, 1), whose 300 guarded parents
+  // path(j, 1) are the step-3 lift sweep that fans out.
+  maint::UpdateAtom req;
+  VarId x = p.factory()->Fresh(), y = p.factory()->Fresh();
+  req.pred = "e";
+  req.args = {Term::Var(x), Term::Var(y)};
+  req.constraint.Add(Primitive::Eq(Term::Var(x), Term::Const(Value(0))));
+  req.constraint.Add(Primitive::Eq(Term::Var(y), Term::Const(Value(1))));
+  std::vector<maint::Update> burst = {
+      maint::Update{maint::Update::Kind::kDelete, std::move(req)}};
+  opts.num_threads = 4;
+  MovingEpochEvaluator moving(w.domains.get());
+  maint::BatchStats stats;
+  Status s = maint::ApplyBatch(p, &v, burst, &moving, opts, &stats);
+  EXPECT_TRUE(IsEpochMismatch(s, "StDel lift sweep")) << s.ToString();
 }
 
 TEST(ParallelStrataTest, NaiveJoinModeIgnoresThreadCount) {
