@@ -7,8 +7,8 @@
 //
 // Work-product counters (wal_records, wal_bytes, checkpoints, replayed,
 // view_atoms) are deterministic functions of the workload — identical
-// across join modes, plan modes and thread counts — so the sidecar diff in
-// CI compares them like the other bench binaries' derived-atom counts.
+// across join modes and thread counts — so the sidecar diff in CI compares
+// them like the other bench binaries' derived-atom counts.
 
 #include "bench_util.h"
 

@@ -63,20 +63,6 @@ class ClauseRunner {
     sink_ = sink;
   }
 
-  /// \brief Per-declared-body-position candidate / accepted counters since
-  /// the last BeginPass (PlanCache::Feedback input).
-  const std::vector<int64_t>& candidates() const { return cand_; }
-  const std::vector<int64_t>& accepted() const { return acc_; }
-
-  /// \brief Folds a shard's feedback counters into this pass's.
-  void AddFeedback(const std::vector<int64_t>& cand,
-                   const std::vector<int64_t>& acc) {
-    for (size_t pos = 0; pos < cand_.size(); ++pos) {
-      cand_[pos] += cand[pos];
-      acc_[pos] += acc[pos];
-    }
-  }
-
   // ---- kNaive: the legacy nested-loop join (differential oracle) --------
 
   // Enumerates body-atom combinations for clause c with the standard
@@ -129,14 +115,11 @@ class ClauseRunner {
     return true;
   }
 
-  /// \brief Resets the binding slots, undo log and feedback counters for
-  /// one planned pass: a whole clause on the engine's runner, one shard on
-  /// a shard's.
-  void BeginPass(const plan::ClausePlan& plan, size_t body_size) {
+  /// \brief Resets the binding slots and undo log for one planned pass: a
+  /// whole clause on the engine's runner, one shard on a shard's.
+  void BeginPass(const plan::ClausePlan& plan) {
     bound_.assign(static_cast<size_t>(plan.num_slots), BoundRef{});
     undo_.clear();
-    cand_.assign(body_size, 0);
-    acc_.assign(body_size, 0);
   }
 
   /// \brief One seminaive pivot of the current pass. The pivots of a pass
@@ -158,8 +141,8 @@ class ClauseRunner {
   /// thread — it counts index_probes / probe_intersections into the bound
   /// stats, and shards then enumerate contiguous subranges without
   /// re-probing, so the probe counters stay identical to num_threads=1
-  /// whatever the shard count. Precondition: the pivot's execution order
-  /// starts at the pivot itself, so no binding slot is live at depth 0.
+  /// whatever the shard count. Every execution order starts at its pivot
+  /// (clause_plan.h), so no binding slot is live at depth 0.
   void MaterializePivotCandidates(
       const Clause& c, const plan::ClausePlan& plan,
       const std::vector<const std::vector<size_t>*>& lists,
@@ -182,7 +165,7 @@ class ClauseRunner {
                   size_t pivot, const std::vector<size_t>& candidates,
                   size_t begin, size_t end, size_t delta_begin,
                   size_t delta_end, int round) {
-    BeginPass(plan, c.body.size());
+    BeginPass(plan);
     const plan::PivotOrder& order = plan.order(pivot);
     std::vector<size_t> chosen(c.body.size());
     for (size_t i = begin; i < end; ++i) {
@@ -361,17 +344,16 @@ class ClauseRunner {
 
     // Probe selection over the plan's precomputed candidate positions (the
     // ones that CAN be ground here: clause constants, slots bound by an
-    // earlier step). kDeclared takes the first actually-ground one; with
-    // multi_probe every ground bucket is weighed and the smallest is
-    // enumerated. Sound candidates are the atoms whose argument there is
-    // the same constant — or not a constant at all (a variable instance
-    // argument can unify with any value), hence the bucket-pair merge.
+    // earlier step): every actually-ground bucket is weighed and the
+    // smallest is enumerated. Sound candidates are the atoms whose argument
+    // there is the same constant — or not a constant at all (a variable
+    // instance argument can unify with any value), hence the bucket-pair
+    // merge.
     const std::vector<size_t>* hits = nullptr;
     const std::vector<size_t>* vars = nullptr;
     // Seminaive windows of the winning bucket pair, computed once during
-    // weighing and reused for the enumeration below.
-    size_t win_i = 0, win_i_end = 0, win_j = 0, win_j_end = 0;
-    bool have_windows = false;
+    // weighing and consumed by the enumeration below.
+    size_t i = 0, i_end = 0, j = 0, j_end = 0;
     size_t best_size = 0;
     int ground_positions = 0;
     for (uint16_t k : order.steps[depth].probe_positions) {
@@ -389,25 +371,19 @@ class ClauseRunner {
           view_.AtomsForArgValue(c.body[pos].pred, k, *v);
       const std::vector<size_t>& w =
           view_.AtomsForNonConstArg(c.body[pos].pred, k);
-      if (!plan.multi_probe) {
-        hits = &h;
-        vars = &w;
-        break;
-      }
-      size_t i = LowerBoundPos(h, lo_limit);
-      size_t i_end = LowerBoundPos(h, hi_limit);
-      size_t j = LowerBoundPos(w, lo_limit);
-      size_t j_end = LowerBoundPos(w, hi_limit);
-      size_t size = (i_end - i) + (j_end - j);
+      size_t h_begin = LowerBoundPos(h, lo_limit);
+      size_t h_end = LowerBoundPos(h, hi_limit);
+      size_t w_begin = LowerBoundPos(w, lo_limit);
+      size_t w_end = LowerBoundPos(w, hi_limit);
+      size_t size = (h_end - h_begin) + (w_end - w_begin);
       if (hits == nullptr || size < best_size) {
         hits = &h;
         vars = &w;
         best_size = size;
-        win_i = i;
-        win_i_end = i_end;
-        win_j = j;
-        win_j_end = j_end;
-        have_windows = true;
+        i = h_begin;
+        i_end = h_end;
+        j = w_begin;
+        j_end = w_end;
       }
     }
     if (ground_positions >= 2) stats_->probe_intersections++;
@@ -416,10 +392,6 @@ class ClauseRunner {
       stats_->index_probes++;
       // Merge the two ascending lists within [lo_limit, hi_limit) so the
       // candidate order matches the oracle's (ascending atom index).
-      size_t i = have_windows ? win_i : LowerBoundPos(*hits, lo_limit);
-      size_t i_end = have_windows ? win_i_end : LowerBoundPos(*hits, hi_limit);
-      size_t j = have_windows ? win_j : LowerBoundPos(*vars, lo_limit);
-      size_t j_end = have_windows ? win_j_end : LowerBoundPos(*vars, hi_limit);
       while (i < i_end || j < j_end) {
         size_t idx;
         if (j >= j_end || (i < i_end && (*hits)[i] < (*vars)[j])) {
@@ -435,8 +407,8 @@ class ClauseRunner {
     const std::vector<size_t>& list = *lists[pos];
     size_t begin = pos == pivot ? cut[pos].first : 0;
     size_t end = pos < pivot ? cut[pos].first : cut[pos].second;
-    for (size_t i = begin; i < end; ++i) {
-      if (!visit(list[i])) return;
+    for (size_t k = begin; k < end; ++k) {
+      if (!visit(list[k])) return;
     }
   }
 
@@ -455,7 +427,6 @@ class ClauseRunner {
     const std::vector<plan::PlanArg>& pattern = plan.body[pos];
     size_t undo_mark = undo_.size();
     bool ok = true;
-    cand_[pos]++;
     if (inst.args.size() == pattern.size()) {
       for (size_t k = 0; k < pattern.size() && ok; ++k) {
         const Term& t = inst.args[k];
@@ -477,7 +448,6 @@ class ClauseRunner {
     }
     Status status = Status::OK();
     if (ok) {
-      acc_[pos]++;
       (*chosen)[pos] = idx;
       status = RecursePlanned(c, plan, order, lists, cut, pivot, depth + 1,
                               delta_begin, delta_end, round, chosen);
@@ -566,11 +536,9 @@ class ClauseRunner {
   FixpointStats* stats_ = nullptr;
   DeriveSink* sink_ = nullptr;
 
-  std::vector<BoundRef> bound_;      // per plan slot
-  std::vector<int> undo_;            // bound slots, LIFO
-  std::vector<int64_t> cand_, acc_;  // per decl body position:
-                                     // feedback for the cache
-  VarSet var_set_;  // scratch for Derive
+  std::vector<BoundRef> bound_;  // per plan slot
+  std::vector<int> undo_;        // bound slots, LIFO
+  VarSet var_set_;               // scratch for Derive
 };
 
 // One derivation staged by a shard.
@@ -582,7 +550,6 @@ struct StagedAtom {
 // Everything one shard of a sharded pivot hands back to the merge.
 struct ShardOutcome {
   std::vector<StagedAtom> atoms;  ///< enumeration order
-  std::vector<int64_t> cand, acc;
   bool capped = false;  ///< the staging budget cut this shard short
   Status status;
   FixpointStats stats;  ///< shard-local counters (summed at merge)
@@ -643,15 +610,15 @@ class StagingSink : public DeriveSink {
 //    PlanCache): body atoms run in the plan's per-pivot selectivity order,
 //    each step probes the view's arg-value index through the plan's
 //    precomputed probe positions (picking the smallest of several ground
-//    buckets under PlanMode::kOrdered), and the incremental substitution
-//    threads through dense binding slots so any ground mismatch rejects
-//    the candidate before deeper steps are enumerated.
+//    buckets), and the incremental substitution threads through dense
+//    binding slots so any ground mismatch rejects the candidate before
+//    deeper steps are enumerated.
 //
 // Every round runs its clauses one after another, each clause its pivots
 // one after another (RunClause). With options.num_threads > 1 a pivot
 // whose frozen delta window clears the partition threshold
-// (plan/partition.h) — and whose execution order starts at the pivot, so
-// depth 0 is a plain candidate sequence — is the one thing that fans out:
+// (plan/partition.h) is the one thing that fans out (every execution order
+// starts at its pivot, so depth 0 is a plain candidate sequence):
 // its depth-0 candidates are materialized once and split into contiguous
 // shards, each run on the pool with a private staging sink, solver memo
 // and fresh-var factory against the read-only view (every window reads
@@ -685,9 +652,8 @@ class Engine {
         // by contract either way).
         parallel_(indexed_ && options.num_threads > 1 &&
                   (evaluator == nullptr || evaluator->ConcurrentReadSafe())),
-        local_plans_(options.plan_mode),
-        plans_(plan::PlanCache::Select(options.plan_cache, options.plan_mode,
-                                       &local_plans_)),
+        plans_(options.plan_cache != nullptr ? options.plan_cache
+                                             : &local_plans_),
         plan_stats_start_(plans_->stats()),
         direct_sink_(this),
         runner_(view_, options_, &solver_, &factory_) {
@@ -797,9 +763,6 @@ class Engine {
     if (!indexed_) {
       return runner_.RunNaive(c, delta_begin, delta_end, round);
     }
-    // Keep a reference for the whole pass: an adaptive recompile may swap
-    // the cache's entry mid-run, and a consistent order is required for
-    // the binding/undo discipline of the executor.
     std::shared_ptr<const plan::ClausePlan> plan =
         plans_->PlanFor(program_, c);
     std::vector<const std::vector<size_t>*> lists;
@@ -807,11 +770,11 @@ class Engine {
     if (!runner_.PreparePass(c, delta_begin, delta_end, &lists, &cut)) {
       return Status::OK();
     }
-    runner_.BeginPass(*plan, c.body.size());
+    runner_.BeginPass(*plan);
     Status status = Status::OK();
     for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
       if (cut[pivot].first == cut[pivot].second) continue;  // empty delta
-      int parts = ShardsFor(*plan, cut, pivot);
+      int parts = ShardsFor(cut, pivot);
       status = parts > 1
                    ? RunShardedPivot(c, *plan, lists, cut, pivot, parts,
                                      delta_begin, delta_end, round)
@@ -819,26 +782,17 @@ class Engine {
                                       delta_begin, delta_end, round);
       if (!status.ok() || direct_sink_.Full()) break;
     }
-    // Adaptive selectivity feedback: per DECLARED body position, how many
-    // candidates were unified against this pass and how many survived.
-    plans_->Feedback(c.number, runner_.candidates(), runner_.accepted());
     return status;
   }
 
   // Shard count of a nonempty pivot: 1 (inline) unless the engine is
-  // parallel, the pivot's execution order starts at the pivot itself (then
-  // depth 0 is a plain candidate sequence with no live binding slots) and
-  // its frozen window clears the partition threshold. The real factory
-  // must also stay well clear of the staging base, so staged ids remain
-  // recognizable at merge. Deterministic in the frozen window, so the
+  // parallel and its frozen window clears the partition threshold. The
+  // real factory must also stay well clear of the staging base, so staged
+  // ids remain recognizable at merge. Deterministic in the frozen window, so the
   // choice never shows in any work-product output.
-  int ShardsFor(const plan::ClausePlan& plan,
-                const std::vector<std::pair<size_t, size_t>>& cut,
+  int ShardsFor(const std::vector<std::pair<size_t, size_t>>& cut,
                 size_t pivot) {
-    if (!parallel_ || factory_.issued() >= kStagingVarBase / 2 ||
-        plan.order(pivot).steps[0].decl_pos != pivot) {
-      return 1;
-    }
+    if (!parallel_ || factory_.issued() >= kStagingVarBase / 2) return 1;
     int parts = plan::PartitionCountFor(cut[pivot].second - cut[pivot].first,
                                         options_.num_threads);
     if (parts == 1) stats_->partition_skipped_small++;
@@ -895,8 +849,6 @@ class Engine {
           out.status = runner.RunShard(c, plan, lists, cut, pivot, candidates,
                                        begin, end, delta_begin, delta_end,
                                        round);
-          out.cand = runner.candidates();
-          out.acc = runner.accepted();
           out.capped = sink.capped();
           out.solver = solver.stats();
         }));
@@ -911,7 +863,6 @@ class Engine {
       stats_->rename_skipped += out.stats.rename_skipped;
       stats_->probe_intersections += out.stats.probe_intersections;
       shard_solver_ += out.solver;
-      runner_.AddFeedback(out.cand, out.acc);
       // A shard cut short by the staging budget may have stopped before
       // derivations the sequential engine (capping on the DEDUPED view
       // size) would still reach; if dedup then keeps the merged view
@@ -1044,13 +995,6 @@ Result<JoinMode> ParseJoinMode(std::string_view text) {
                                  "' (expected 'naive' or 'indexed')");
 }
 
-Result<plan::PlanMode> ParsePlanMode(std::string_view text) {
-  if (text == "declared") return plan::PlanMode::kDeclared;
-  if (text == "ordered") return plan::PlanMode::kOrdered;
-  return Status::InvalidArgument("unknown plan mode '" + std::string(text) +
-                                 "' (expected 'declared' or 'ordered')");
-}
-
 Result<int> ParseThreads(std::string_view text) {
   int value = 0;
   bool valid = !text.empty() && text.size() <= 4;
@@ -1075,17 +1019,6 @@ Result<JoinMode> JoinModeFromEnv() {
   Result<JoinMode> parsed = ParseJoinMode(mode);
   if (!parsed.ok()) {
     return Status::InvalidArgument("$MMV_JOIN_MODE: " +
-                                   parsed.status().message());
-  }
-  return parsed;
-}
-
-Result<plan::PlanMode> PlanModeFromEnv() {
-  const char* mode = std::getenv("MMV_PLAN_MODE");
-  if (mode == nullptr || *mode == '\0') return plan::PlanMode::kOrdered;
-  Result<plan::PlanMode> parsed = ParsePlanMode(mode);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("$MMV_PLAN_MODE: " +
                                    parsed.status().message());
   }
   return parsed;

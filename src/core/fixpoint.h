@@ -29,7 +29,6 @@
 #include "constraint/solver.h"
 #include "core/program.h"
 #include "core/view.h"
-#include "plan/clause_plan.h"
 
 namespace mmv {
 
@@ -47,9 +46,9 @@ enum class OperatorKind : uint8_t {
 enum class DupSemantics : uint8_t {
   kDuplicate,  ///< one atom per derivation (dedup by support)
   /// Dedup by canonicalized constrained atom. Only the canonical atom
-  /// set is contractual: the representative derivation retained for a
-  /// deduped atom (its support) is the first one enumerated, which
-  /// depends on the join strategy and plan order. Set-semantics views
+  /// set is contractual across join modes: the representative derivation
+  /// retained for a deduped atom (its support) is the first one
+  /// enumerated, which depends on the join strategy. Set-semantics views
   /// are not support-maintained — StDel requires kDuplicate.
   kSet,
 };
@@ -102,37 +101,29 @@ struct FixpointOptions {
   /// Worker threads for sharded pivots. 1 (default) runs every pivot
   /// inline. With N > 1 the engine still runs each round's clauses and
   /// each clause's seminaive pivots one after another; a pivot fans out
-  /// only when its execution order starts at the pivot and its frozen
-  /// delta window is large enough to split (plan/partition.h) — then its
-  /// depth-0 candidates run as up to N contiguous shards, each with a
-  /// private staging sink, solver memo and fresh-var factory against the
-  /// read-only view, merged in (shard, enumeration) order before the next
-  /// pivot runs. That is exactly the sequential append order, so canonical
-  /// atom sets, support multisets and the derivation counters are
-  /// identical to num_threads=1 whatever the thread count. (Fresh-variable
-  /// NUMBERING and solver-memo hit counts may differ — the same
-  /// non-contract PR-3 carved out between join modes. Truncated runs —
-  /// max_atoms / max_iterations — may cut off at different atoms.)
+  /// only when its frozen delta window is large enough to split
+  /// (plan/partition.h) — then its depth-0 candidates run as up to N
+  /// contiguous shards, each with a private staging sink, solver memo and
+  /// fresh-var factory against the read-only view, merged in (shard,
+  /// enumeration) order before the next pivot runs. That is exactly the
+  /// sequential append order, so canonical atom sets, support multisets
+  /// and the derivation counters are identical to num_threads=1 whatever
+  /// the thread count. (Fresh-variable NUMBERING and solver-memo hit
+  /// counts may differ — the same non-contract as between join modes.
+  /// Truncated runs — max_atoms / max_iterations — may cut off at
+  /// different atoms.)
   /// Parallel execution requires the kIndexed planned executor and an
   /// evaluator that is null or reports ConcurrentReadSafe(); naive-join,
   /// non-read-safe or fallback configurations run sequentially whatever
   /// this value says.
   int num_threads = 1;
-  /// Clause-plan ordering strategy of the kIndexed executor. kOrdered
-  /// selectivity-orders body atoms per seminaive pivot and picks the
-  /// smallest of several ground arg-value buckets; kDeclared keeps the
-  /// written body order with first-ground probing (the PR-3 behaviour,
-  /// kept as the plan-off baseline). Derived atom sets — and, under
-  /// duplicate semantics, support multisets — are identical either way;
-  /// under kSet only the canonical atom set is order-independent (see
-  /// DupSemantics::kSet).
-  plan::PlanMode plan_mode = plan::PlanMode::kOrdered;
-  /// Optional compiled-plan cache shared across engine runs. Pass one
-  /// cache through a sequence of continuations / maintenance passes so
-  /// each clause compiles once per program instead of once per run; the
-  /// cache revalidates against the program's identity on use. Ignored
-  /// (a run-local cache is used) when the cache's mode differs from
-  /// plan_mode. When null, the engine plans within the single run.
+  /// Optional compiled-plan cache shared across engine runs (kIndexed
+  /// only). Pass one cache through a sequence of continuations /
+  /// maintenance passes so each clause compiles once per program instead
+  /// of once per run; the cache revalidates against the program's identity
+  /// on use. A plan depends only on its clause, so sharing changes no
+  /// result — not even kSet supports. When null, the engine plans within
+  /// the single run.
   plan::PlanCache* plan_cache = nullptr;
   /// Optional solver memo shared across engine runs (kIndexed only). Pass
   /// one cache through a sequence of ContinueFixpoint continuations so
@@ -223,19 +214,12 @@ Status ContinueFixpoint(const Program& program, View* view,
 /// for.
 Result<JoinMode> ParseJoinMode(std::string_view text);
 
-/// \brief Parses a plan mode name: "declared" or "ordered".
-Result<plan::PlanMode> ParsePlanMode(std::string_view text);
-
 /// \brief Join mode from $MMV_JOIN_MODE. Unset/empty means the default
 /// (kIndexed); any other unknown value is an InvalidArgument error.
 Result<JoinMode> JoinModeFromEnv();
 
-/// \brief Plan mode from $MMV_PLAN_MODE. Unset/empty means the default
-/// (kOrdered); any other unknown value is an InvalidArgument error.
-Result<plan::PlanMode> PlanModeFromEnv();
-
 /// \brief Parses a thread count: a positive decimal integer (at most
-/// 4096). InvalidArgument on anything else — like the mode parsers, a
+/// 4096). InvalidArgument on anything else — like the join-mode parser, a
 /// typo must fail loudly instead of silently running single-threaded.
 Result<int> ParseThreads(std::string_view text);
 

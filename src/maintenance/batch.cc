@@ -154,13 +154,11 @@ Status ApplyBatch(const Program& program, View* view,
   // BuildAdd continuations and every insert run's fixpoint flushes all
   // reuse the same per-program clause plans. A caller-provided cache
   // (FixpointOptions::plan_cache) outlives the batch instead.
-  plan::PlanCache batch_plans(options.plan_mode);
+  plan::PlanCache batch_plans;
   FixpointOptions batch_options = options;
-  // A caller cache of the wrong mode would be rejected per engine run
-  // (each falling back to its own run-local cache) — substitute the
-  // batch-local one so cross-pass sharing survives the mismatch.
-  batch_options.plan_cache = plan::PlanCache::Select(
-      batch_options.plan_cache, batch_options.plan_mode, &batch_plans);
+  if (batch_options.plan_cache == nullptr) {
+    batch_options.plan_cache = &batch_plans;
+  }
   // Epoch-gate a caller-shared solver memo: the memo survives from batch
   // to batch — view maintenance never changes what Solve sees — and is
   // flushed here exactly when the external state moved underneath it: a

@@ -76,12 +76,9 @@ Status InsertBatch(const Program& program, View* view,
   // One plan cache for the whole batch: every flushed continuation below
   // reuses the clause plans compiled by the first, instead of recompiling
   // per flush. A caller-provided cache (e.g. ApplyBatch's batch-wide one)
-  // takes precedence and carries the plans across insert runs too — but a
-  // caller cache of the wrong mode would be rejected per engine run, so
-  // substitute the batch-local one to keep cross-flush sharing.
-  plan::PlanCache batch_plans(options.plan_mode);
-  fix_options.plan_cache = plan::PlanCache::Select(
-      fix_options.plan_cache, fix_options.plan_mode, &batch_plans);
+  // takes precedence and carries the plans across insert runs too.
+  plan::PlanCache batch_plans;
+  if (fix_options.plan_cache == nullptr) fix_options.plan_cache = &batch_plans;
   Solver solver(evaluator, solver_options);
 
   // Build the Add set incrementally: each request is diffed against the

@@ -115,9 +115,8 @@ Status DeleteStDelBatch(const Program& program, View* view,
   if (!stats) stats = &local;
   *stats = StDelStats();
   // Step 3 consumes compiled clause plans (for their precomputed variable
-  // lists); plan ordering is irrelevant here, so any caller cache works
-  // whatever its mode.
-  plan::PlanCache local_plans(plan::PlanMode::kDeclared);
+  // lists): the caller's cache, else a local one.
+  plan::PlanCache local_plans;
   if (plans == nullptr) plans = &local_plans;
   const int64_t plan_hits_start = plans->stats().cache_hits;
   // One solver memo per batch: step-3 lifts and the step-4 whole-view prune

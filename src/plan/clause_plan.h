@@ -6,17 +6,16 @@
 // all thread an incremental substitution through the clause without
 // re-inspecting atom shapes per candidate.
 //
-// Ordering (PlanMode::kOrdered): for every seminaive pivot the plan runs
-// the pivot atom first (its candidate window is the delta — the only window
-// the engine knows to be small), then greedily the atom with the most
-// statically ground argument positions (clause constants count double: they
-// are ground unconditionally, where a slot bound by an earlier atom is only
-// ground when that instance argument was). Ties break toward the lower
-// observed accept ratio (adaptive feedback from the executor's candidate /
-// accept counters, see PlanCache::Feedback) and then toward declared order.
-// PlanMode::kDeclared compiles the identity order with first-ground-probe
-// selection — bit-compatible with the PR-3 indexed join, kept as the
-// plan-off baseline.
+// Ordering: for every seminaive pivot the plan runs the pivot atom first
+// (its candidate window is the delta — the only window the engine knows to
+// be small), then greedily the atom with the most statically ground
+// argument positions (clause constants count double: they are ground
+// unconditionally, where a slot bound by an earlier atom is only ground
+// when that instance argument was). Ties break toward declared order, so a
+// compiled plan depends on its clause alone. Invariant relied on by the
+// engine: orders[p].steps[0].decl_pos == p for every pivot p — depth 0 of
+// a pivot's order is a plain candidate sequence with no live binding
+// slots, which is what lets a large pivot window be sharded.
 //
 // Plans are immutable once built and handed out as shared_ptr<const>, so
 // the shards of a sharded pivot read one plan concurrently while the
@@ -32,17 +31,6 @@
 
 namespace mmv {
 namespace plan {
-
-/// \brief Body-atom ordering strategy of a compiled plan.
-enum class PlanMode : uint8_t {
-  /// Keep the clause's written body order and probe the first ground
-  /// argument position — the PR-3 indexed-join behaviour (plan-off
-  /// baseline / differential oracle for the ordered plans).
-  kDeclared,
-  /// Selectivity-order the body per seminaive pivot and pick the smallest
-  /// of multiple ground arg-value buckets per step (multi-position probes).
-  kOrdered,
-};
 
 /// \brief Pattern-term classification of one body/head argument: a clause
 /// constant, or a variable mapped to a dense binding slot.
@@ -76,33 +64,23 @@ struct ClausePlan {
   std::vector<std::vector<PlanArg>> body;  ///< declared order, per position
   std::vector<PlanArg> head;
   bool constraint_true = false;
-  /// kOrdered only: evaluate every ground probe position and enumerate the
-  /// smallest bucket (kDeclared probes the first ground position).
-  bool multi_probe = false;
   int num_slots = 0;
-  /// One execution order per seminaive pivot (empty for facts) — except
-  /// under kDeclared, where every pivot runs the identical written order
-  /// and a SINGLE shared entry serves all pivots (kDeclared clauses used
-  /// to carry n copies of the same order). Index through order().
+  /// One execution order per seminaive pivot (empty for facts); order p
+  /// starts at body position p.
   std::vector<PivotOrder> orders;
   bool reordered = false;          ///< any pivot order differs from declared
 
   /// \brief The execution order for seminaive pivot \p pivot.
-  const PivotOrder& order(size_t pivot) const {
-    return orders.size() == 1 ? orders.front() : orders[pivot];
-  }
+  const PivotOrder& order(size_t pivot) const { return orders[pivot]; }
   /// The clause's variables in first-appearance order — precomputed so
   /// maintenance passes (StDel step 3 renames the clause once per visited
   /// parent) can standardize apart without re-walking the clause.
   std::vector<VarId> clause_vars;
 };
 
-/// \brief Compiles \p clause under \p mode. \p accept_ratio, when non-null,
-/// holds the executor-observed fraction of candidates surviving ground
-/// unification per DECLARED body position (adaptive selectivity; lower =
-/// more selective); it must have one entry per body atom.
-ClausePlan CompileClause(const Clause& clause, PlanMode mode,
-                         const std::vector<double>* accept_ratio = nullptr);
+/// \brief Compiles \p clause. Deterministic: the plan depends only on the
+/// clause.
+ClausePlan CompileClause(const Clause& clause);
 
 }  // namespace plan
 }  // namespace mmv

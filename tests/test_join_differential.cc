@@ -63,53 +63,41 @@ workload::RandomProgramOptions RandomOptions(Rng* rng) {
   return o;
 }
 
-// Materializes under the naive oracle, the indexed join with DECLARED
-// body order (plan-off, the PR-3 pipeline) and the indexed join with
-// selectivity-ORDERED plans, and asserts three-way view equality plus the
-// sharp per-run invariants the equivalence argument predicts: identical
-// created-atom and suppressed-duplicate counts (rejected candidates are
-// exactly tuples the oracle prunes as unsatisfiable, never ones it
-// dedups, whatever the enumeration order).
+// Materializes under the naive oracle and the indexed join with its
+// compiled plans, and asserts view equality plus the sharp per-run
+// invariants the equivalence argument predicts: identical created-atom and
+// suppressed-duplicate counts (rejected candidates are exactly tuples the
+// oracle prunes as unsatisfiable, never ones it dedups, whatever the
+// enumeration order).
 void ExpectModesAgree(const Program& p, DcaEvaluator* eval,
                       FixpointOptions opts, const std::string& trace,
                       FixpointStats* indexed_stats_out = nullptr) {
-  FixpointStats naive_stats, declared_stats, ordered_stats;
+  FixpointStats naive_stats, indexed_stats;
   opts.max_atoms = 50'000;  // terminate runaway joins; flagged below
   opts.join_mode = JoinMode::kNaive;
   View naive = Unwrap(Materialize(p, eval, opts, &naive_stats));
   opts.join_mode = JoinMode::kIndexed;
-  opts.plan_mode = plan::PlanMode::kDeclared;
-  View declared = Unwrap(Materialize(p, eval, opts, &declared_stats));
-  opts.plan_mode = plan::PlanMode::kOrdered;
-  View ordered = Unwrap(Materialize(p, eval, opts, &ordered_stats));
+  View indexed = Unwrap(Materialize(p, eval, opts, &indexed_stats));
   EXPECT_FALSE(naive_stats.truncated) << "generator produced a blow-up\n"
                                       << trace;
 
-  EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(declared)) << trace;
-  EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(ordered)) << trace;
-  EXPECT_EQ(Supports(naive), Supports(declared)) << trace;
+  EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(indexed)) << trace;
   // Support multisets are only contractual under DUPLICATE semantics
   // (every derivation kept — order-independent). Set semantics retains
   // ONE representative derivation per canonical atom, and which one wins
-  // follows enumeration order: declared order enumerates combinations
-  // exactly like the oracle, but selectivity-ordered plans legitimately
-  // meet a different derivation first.
+  // follows enumeration order: the compiled plans legitimately meet a
+  // different derivation first than the oracle's written-order join.
   if (opts.semantics == DupSemantics::kDuplicate) {
-    EXPECT_EQ(Supports(naive), Supports(ordered)) << trace;
+    EXPECT_EQ(Supports(naive), Supports(indexed)) << trace;
   }
-  for (const FixpointStats* s : {&declared_stats, &ordered_stats}) {
-    EXPECT_EQ(naive_stats.atoms_created, s->atoms_created) << trace;
-    EXPECT_EQ(naive_stats.duplicates_suppressed, s->duplicates_suppressed)
-        << trace;
-  }
+  EXPECT_EQ(naive_stats.atoms_created, indexed_stats.atoms_created) << trace;
+  EXPECT_EQ(naive_stats.duplicates_suppressed,
+            indexed_stats.duplicates_suppressed)
+      << trace;
   EXPECT_EQ(naive_stats.index_probes, 0) << "oracle must not probe";
   EXPECT_EQ(naive_stats.plan_reorders, 0) << "oracle must not plan";
-  EXPECT_EQ(declared_stats.plan_reorders, 0)
-      << "declared plans must keep the written order";
-  EXPECT_EQ(declared_stats.probe_intersections, 0)
-      << "declared plans must probe the first ground position only";
 
-  if (indexed_stats_out) *indexed_stats_out = ordered_stats;
+  if (indexed_stats_out) *indexed_stats_out = indexed_stats;
 }
 
 // The num_threads sweep: 1 (the sequential reference) against 2 and 8,
@@ -313,22 +301,11 @@ TEST(JoinDifferential, ReciprocalStarJoinGroundRejects) {
   FixpointStats stats;
   ExpectModesAgree(p, w.domains.get(), FixpointOptions(), "reciprocal star",
                    &stats);
-  // Under ordered plans BOTH positions of the second body atom are bound, so
-  // the multi-position probe picks the smaller (exact) bucket and the
-  // mid-join rejection regime moves to the plan-off path: declared order
-  // probes position 0 and must reject the mismatches position 1 exposes.
+  // BOTH positions of the second body atom are bound when it runs, so the
+  // multi-position probe weighs both buckets and takes the smaller (exact)
+  // one.
   EXPECT_GT(stats.probe_intersections, 0);
   EXPECT_GT(stats.index_probes, 0);
-  {
-    FixpointOptions off;
-    off.plan_mode = plan::PlanMode::kDeclared;
-    FixpointStats off_stats;
-    View v = Unwrap(Materialize(p, w.domains.get(), off, &off_stats));
-    EXPECT_GT(off_stats.ground_rejects, 0);
-    EXPECT_EQ(off_stats.probe_intersections, 0);
-    // The ordered plan's exact bucket visits strictly fewer candidates.
-    EXPECT_LT(stats.ground_rejects, off_stats.ground_rejects);
-  }
   // Every reciprocal pair must be found: sym(j,0) and sym(0,j) for each j.
   FixpointOptions opts;
   View v = Unwrap(Materialize(p, w.domains.get(), opts));
@@ -387,7 +364,8 @@ TEST(JoinDifferential, GuardedChainAgreesAndProbes) {
 
 // The reversed guarded chain — p{k+1}(X) <- p0(X), p{k}(X), most selective
 // atom written LAST — is the join-order showcase: the cost model must
-// reorder (pivot-first) and the three engines must still agree.
+// reorder (pivot-first) and the indexed join must still agree with the
+// oracle.
 TEST(JoinDifferential, ReversedGuardedChainReordersAndAgrees) {
   TestWorld w = TestWorld::Make();
   Program p = workload::MakeGuardedChainReversed(/*depth=*/5, /*width=*/6);
@@ -455,12 +433,10 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
       requests.push_back(std::move(req));
     }
 
-    auto run = [&](JoinMode mode, plan::PlanMode plan_mode, int threads,
-                   maint::InsertStats* stats) {
+    auto run = [&](JoinMode mode, int threads, maint::InsertStats* stats) {
       FixpointOptions opts;
       opts.semantics = semantics;
       opts.join_mode = mode;
-      opts.plan_mode = plan_mode;
       opts.num_threads = threads;
       View v = Unwrap(Materialize(p, w.domains.get(), opts));
       int ext = 0;
@@ -469,21 +445,14 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
       EXPECT_TRUE(s.ok()) << s.ToString();
       return v;
     };
-    View naive = run(JoinMode::kNaive, plan::PlanMode::kOrdered, 1, nullptr);
-    View declared =
-        run(JoinMode::kIndexed, plan::PlanMode::kDeclared, 1, nullptr);
+    View naive = run(JoinMode::kNaive, 1, nullptr);
     maint::InsertStats seq_stats;
-    View ordered =
-        run(JoinMode::kIndexed, plan::PlanMode::kOrdered, 1, &seq_stats);
-    EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(declared))
+    View indexed = run(JoinMode::kIndexed, 1, &seq_stats);
+    EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(indexed))
         << "seed " << seed << "\n"
         << p.ToString();
-    EXPECT_EQ(CanonicalAtoms(naive), CanonicalAtoms(ordered))
-        << "seed " << seed << "\n"
-        << p.ToString();
-    EXPECT_EQ(Supports(naive), Supports(declared)) << "seed " << seed;
     if (semantics == DupSemantics::kDuplicate) {  // see ExpectModesAgree
-      EXPECT_EQ(Supports(naive), Supports(ordered)) << "seed " << seed;
+      EXPECT_EQ(Supports(naive), Supports(indexed)) << "seed " << seed;
     }
     // The insertion continuation under the num_threads sweep: the parallel
     // engine replays the sequential append order, so the whole maintained
@@ -491,13 +460,11 @@ void RunContinuationDifferential(DupSemantics semantics, uint64_t seed_base) {
     // counters must match the single-threaded run exactly.
     for (int threads : ThreadSweep()) {
       maint::InsertStats par_stats;
-      View parallel =
-          run(JoinMode::kIndexed, plan::PlanMode::kOrdered, threads,
-              &par_stats);
-      EXPECT_EQ(CanonicalAtoms(ordered), CanonicalAtoms(parallel))
+      View parallel = run(JoinMode::kIndexed, threads, &par_stats);
+      EXPECT_EQ(CanonicalAtoms(indexed), CanonicalAtoms(parallel))
           << "seed " << seed << " num_threads " << threads << "\n"
           << p.ToString();
-      EXPECT_EQ(Supports(ordered), Supports(parallel))
+      EXPECT_EQ(Supports(indexed), Supports(parallel))
           << "seed " << seed << " num_threads " << threads;
       EXPECT_EQ(seq_stats.add_atoms, par_stats.add_atoms);
       EXPECT_EQ(seq_stats.atoms_added, par_stats.atoms_added);

@@ -1,11 +1,13 @@
 // Unit tests for the clause-plan compilation layer: the cost model's
 // ordering on hand-built clauses, plan-cache lifetime (program-identity
-// invalidation, adaptive recompiles), the epoch-tagged solver memo, and
-// the loud-failure engine-option parsing.
+// invalidation) and its determinism contract, the epoch-tagged solver
+// memo, and the loud-failure engine-option parsing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "maintenance/batch.h"
 #include "plan/plan_cache.h"
@@ -15,6 +17,7 @@
 namespace mmv {
 namespace {
 
+using testutil::CanonicalState;
 using testutil::ParseOrDie;
 using testutil::ParseUpdate;
 using testutil::TestWorld;
@@ -28,15 +31,37 @@ std::vector<int> Order(const plan::ClausePlan& plan, size_t pivot) {
   return out;
 }
 
+// Hand-written clause shapes plus the generators' rule shapes: chains,
+// constants, ties, repeated predicates, wide bodies.
+std::vector<Program> PlanShapes() {
+  std::vector<Program> programs;
+  programs.push_back(ParseOrDie(
+      "h(X, Z) <- true || a(X), b(X, Y), c(Y, Z).\n"
+      "h(X, Y) <- true || p(X, Y), q(X), r(5, Y).\n"
+      "h(X, X) <- true || a(X), b(X, X), c(X, 3), d(3).\n"
+      "g(X, Y) <- X != 3 || e(X, Y), e(Y, X).\n"
+      "g(X, W) <- true || w(X, Y, Z, W), a(Z), b(Y, 7), c(W, X)."));
+  programs.push_back(workload::MakeGuardedChain(4, 3));
+  programs.push_back(workload::MakeGuardedChainReversed(4, 3));
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    workload::RandomProgramOptions o;
+    o.max_body = 3;
+    o.derived_preds = 2;
+    programs.push_back(workload::MakeRandomProgram(&rng, o));
+  }
+  return programs;
+}
+
 // ---- cost model ordering --------------------------------------------------
 
 TEST(ClausePlanTest, PivotRunsFirstThenBoundAtoms) {
   // h(X,Z) <- a(X), b(X,Y), c(Y,Z): a chain of bindings. Whatever the
-  // pivot, the ordered plan must run it first and then follow the binding
+  // pivot, the plan must run it first and then follow the binding
   // chain (each next atom shares a variable with an already-run one).
   Program p = ParseOrDie("h(X, Z) <- true || a(X), b(X, Y), c(Y, Z).");
   const Clause& c = p.clauses()[0];
-  plan::ClausePlan plan = plan::CompileClause(c, plan::PlanMode::kOrdered);
+  plan::ClausePlan plan = plan::CompileClause(c);
   EXPECT_TRUE(plan.reordered);
   EXPECT_EQ(Order(plan, 0), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(Order(plan, 1), (std::vector<int>{1, 0, 2}));  // a, c tie: decl
@@ -48,35 +73,39 @@ TEST(ClausePlanTest, ConstantsOutweighBoundVariables) {
   // bound; r's constant plus bound Y (score 3) must beat q's bound X
   // (score 1).
   Program p = ParseOrDie("h(X, Y) <- true || p(X, Y), q(X), r(5, Y).");
-  plan::ClausePlan plan =
-      plan::CompileClause(p.clauses()[0], plan::PlanMode::kOrdered);
+  plan::ClausePlan plan = plan::CompileClause(p.clauses()[0]);
   EXPECT_EQ(Order(plan, 0), (std::vector<int>{0, 2, 1}));
 }
 
-TEST(ClausePlanTest, DeclaredModeKeepsWrittenOrder) {
-  Program p = ParseOrDie("h(X, Z) <- true || a(X), b(X, Y), c(Y, Z).");
-  plan::ClausePlan plan =
-      plan::CompileClause(p.clauses()[0], plan::PlanMode::kDeclared);
-  EXPECT_FALSE(plan.reordered);
-  EXPECT_FALSE(plan.multi_probe);
-  for (size_t pivot = 0; pivot < 3; ++pivot) {
-    EXPECT_EQ(Order(plan, pivot), (std::vector<int>{0, 1, 2}));
+// The invariant the engine's sharding relies on (clause_plan.h): order p
+// starts at body position p, and is a permutation of the body.
+TEST(ClausePlanTest, EveryOrderStartsAtItsPivot) {
+  size_t checked = 0;
+  for (const Program& p : PlanShapes()) {
+    for (const Clause& c : p.clauses()) {
+      plan::ClausePlan plan = plan::CompileClause(c);
+      ASSERT_EQ(plan.orders.size(), c.body.size()) << c.ToString();
+      for (size_t pivot = 0; pivot < c.body.size(); ++pivot) {
+        std::vector<int> order = Order(plan, pivot);
+        ASSERT_EQ(order.size(), c.body.size()) << c.ToString();
+        EXPECT_EQ(order.front(), static_cast<int>(pivot)) << c.ToString();
+        std::vector<int> sorted = order;
+        std::sort(sorted.begin(), sorted.end());
+        for (size_t i = 0; i < sorted.size(); ++i) {
+          EXPECT_EQ(sorted[i], static_cast<int>(i)) << c.ToString();
+        }
+        ++checked;
+      }
+    }
   }
-  // Every pivot runs the identity order, so the plan carries ONE shared
-  // PivotOrder (the old layout duplicated it per pivot); ordered plans
-  // still carry one per pivot.
-  EXPECT_EQ(plan.orders.size(), 1u);
-  EXPECT_EQ(plan::CompileClause(p.clauses()[0], plan::PlanMode::kOrdered)
-                .orders.size(),
-            3u);
+  EXPECT_GT(checked, 50u);
 }
 
 TEST(ClausePlanTest, ProbePositionsCoverConstantsAndBoundSlots) {
   // h(X) <- wide(X, Y), sel(X, 7): when sel runs second, BOTH its
   // positions are probe candidates — X is bound by wide, 7 is a constant.
   Program p = ParseOrDie("h(X) <- true || wide(X, Y), sel(X, 7).");
-  plan::ClausePlan plan =
-      plan::CompileClause(p.clauses()[0], plan::PlanMode::kOrdered);
+  plan::ClausePlan plan = plan::CompileClause(p.clauses()[0]);
   const plan::PlanStep& second = plan.orders[0].steps[1];
   EXPECT_EQ(second.decl_pos, 1);
   EXPECT_EQ(second.probe_positions, (std::vector<uint16_t>{0, 1}));
@@ -88,7 +117,7 @@ TEST(ClausePlanTest, ClauseVarsMatchVariablesAndRenameWithAgrees) {
   Program p =
       ParseOrDie("h(X, Z) <- X != 3 || a(X), b(X, Y), c(Y, Z).");
   const Clause& c = p.clauses()[0];
-  plan::ClausePlan plan = plan::CompileClause(c, plan::PlanMode::kOrdered);
+  plan::ClausePlan plan = plan::CompileClause(c);
   EXPECT_EQ(plan.clause_vars, c.Variables());
   VarFactory f1, f2;
   EXPECT_EQ(c.Rename(&f1).ToString(),
@@ -102,7 +131,7 @@ TEST(PlanCacheTest, CachesPerClauseAndCountsHits) {
   Program p = ParseOrDie(
       "h(X) <- true || a(X), b(X).\n"
       "g(X) <- true || h(X), a(X).");
-  plan::PlanCache cache(plan::PlanMode::kOrdered);
+  plan::PlanCache cache;
   auto plan1 = cache.PlanFor(p, p.clauses()[0]);
   auto plan1_again = cache.PlanFor(p, p.clauses()[0]);
   EXPECT_EQ(plan1.get(), plan1_again.get());
@@ -130,54 +159,6 @@ TEST(PlanCacheTest, FlushesWhenHandedADifferentProgram) {
   EXPECT_EQ(cache.stats().cache_hits, 1);
 }
 
-TEST(PlanCacheTest, AdaptiveFeedbackRefinesTieBreaks) {
-  // h(X) <- a(X), b(X), c(X): after the pivot a, b and c tie statically.
-  // Observed selectivity (c accepts 1% of candidates, b accepts all) must
-  // flip the tie toward c once enough evidence accumulates.
-  Program p = ParseOrDie("h(X) <- true || a(X), b(X), c(X).");
-  const Clause& c = p.clauses()[0];
-  plan::PlanCache cache(plan::PlanMode::kOrdered);
-  auto before = cache.PlanFor(p, c);
-  EXPECT_EQ(Order(*before, 0), (std::vector<int>{0, 1, 2}));
-
-  cache.Feedback(c.number, {1000, 1000, 1000}, {1000, 1000, 10});
-  auto after = cache.PlanFor(p, c);
-  EXPECT_EQ(cache.stats().refinements, 1);
-  EXPECT_EQ(Order(*after, 0), (std::vector<int>{0, 2, 1}));
-  // The handed-out old plan stays alive and unchanged (immutability).
-  EXPECT_EQ(Order(*before, 0), (std::vector<int>{0, 1, 2}));
-  // Below the evidence threshold nothing recompiles.
-  auto again = cache.PlanFor(p, c);
-  EXPECT_EQ(again.get(), after.get());
-}
-
-TEST(PlanCacheTest, UnchangedRecompilesBackOff) {
-  // A recompile that changes nothing must raise the clause's evidence
-  // threshold — settled clauses stop paying for recompiles.
-  Program p = ParseOrDie("h(X) <- true || a(X), b(X).");
-  const Clause& c = p.clauses()[0];
-  plan::PlanCache cache(plan::PlanMode::kOrdered);
-  cache.PlanFor(p, c);
-  cache.Feedback(c.number, {500, 500}, {500, 500});  // >= 256: dirty
-  cache.PlanFor(p, c);  // recompile, order unchanged -> threshold x4
-  EXPECT_EQ(cache.stats().refinements, 0);
-  int64_t compiles = cache.stats().compiles;
-  cache.Feedback(c.number, {500, 500}, {500, 500});  // 500 < 1024: settled
-  cache.PlanFor(p, c);
-  EXPECT_EQ(cache.stats().compiles, compiles);
-}
-
-TEST(PlanCacheTest, DeclaredModeIgnoresFeedback) {
-  Program p = ParseOrDie("h(X) <- true || a(X), b(X), c(X).");
-  const Clause& c = p.clauses()[0];
-  plan::PlanCache cache(plan::PlanMode::kDeclared);
-  auto before = cache.PlanFor(p, c);
-  cache.Feedback(c.number, {1000, 1000, 1000}, {1000, 1000, 10});
-  auto after = cache.PlanFor(p, c);
-  EXPECT_EQ(before.get(), after.get());
-  EXPECT_EQ(cache.stats().refinements, 0);
-}
-
 // ---- engine integration ---------------------------------------------------
 
 // A shared plan cache threaded through FixpointOptions survives across
@@ -186,7 +167,7 @@ TEST(PlanCacheTest, DeclaredModeIgnoresFeedback) {
 TEST(PlanCacheTest, SharedAcrossEngineRuns) {
   TestWorld w = TestWorld::Make();
   Program p = workload::MakeGuardedChain(4, 4);
-  plan::PlanCache shared(plan::PlanMode::kOrdered);
+  plan::PlanCache shared;
   FixpointOptions opts;
   opts.plan_cache = &shared;
   FixpointStats first, second;
@@ -199,18 +180,33 @@ TEST(PlanCacheTest, SharedAcrossEngineRuns) {
   EXPECT_GT(second.plan_cache_hits, first.plan_cache_hits);
 }
 
-// A cache whose mode differs from the run's plan_mode is ignored (the
-// engine falls back to a run-local cache) instead of executing plans of
-// the wrong shape.
-TEST(PlanCacheTest, ModeMismatchedCacheIsNotUsed) {
+// The determinism contract (plan_cache.h): a plan depends only on its
+// clause, so cache history never changes a result. Set semantics is the
+// sharp probe — the support it retains for a deduped atom follows
+// enumeration order — so two runs through one shared cache and a run
+// through a fresh cache must agree on every (atom, support) pair.
+TEST(PlanCacheTest, SharedCacheHistoryNeverChangesSetSemanticsResults) {
   TestWorld w = TestWorld::Make();
-  Program p = workload::MakeGuardedChain(3, 3);
-  plan::PlanCache declared_cache(plan::PlanMode::kDeclared);
-  FixpointOptions opts;
-  opts.plan_mode = plan::PlanMode::kOrdered;
-  opts.plan_cache = &declared_cache;
-  Unwrap(Materialize(p, w.domains.get(), opts));
-  EXPECT_EQ(declared_cache.size(), 0u);
+  for (const Program& p : PlanShapes()) {
+    FixpointOptions opts;
+    opts.semantics = DupSemantics::kSet;
+    opts.max_atoms = 50'000;
+    plan::PlanCache shared;
+    opts.plan_cache = &shared;
+    View first = Unwrap(Materialize(p, w.domains.get(), opts));
+    int64_t compiles = shared.stats().compiles;
+    View second = Unwrap(Materialize(p, w.domains.get(), opts));
+    plan::PlanCache fresh_cache;
+    opts.plan_cache = &fresh_cache;
+    View fresh = Unwrap(Materialize(p, w.domains.get(), opts));
+
+    std::string trace = p.ToString();
+    EXPECT_EQ(CanonicalState(first), CanonicalState(second)) << trace;
+    EXPECT_EQ(CanonicalState(first), CanonicalState(fresh)) << trace;
+    // The second run really ran on the first run's plans.
+    EXPECT_EQ(shared.stats().compiles, compiles) << trace;
+    if (::testing::Test::HasFailure()) return;  // keep the first trace
+  }
 }
 
 // ---- epoch-tagged solver memo --------------------------------------------
@@ -342,7 +338,7 @@ TEST(PlanCacheTest, SharedAcrossMaintenanceBatches) {
   TestWorld w = TestWorld::Make();
   Program p = workload::MakeChain(4, 6);
   FixpointOptions opts;
-  plan::PlanCache shared(opts.plan_mode);
+  plan::PlanCache shared;
   opts.plan_cache = &shared;
   View v = Unwrap(Materialize(p, w.domains.get(), opts));
   int ext = 0;
@@ -377,11 +373,6 @@ TEST(EngineOptionsTest, ParseModesAcceptKnownAndRejectUnknown) {
   EXPECT_EQ(*ParseJoinMode("indexed"), JoinMode::kIndexed);
   EXPECT_FALSE(ParseJoinMode("fast").ok());
   EXPECT_FALSE(ParseJoinMode("NAIVE").ok());
-
-  EXPECT_EQ(*ParsePlanMode("declared"), plan::PlanMode::kDeclared);
-  EXPECT_EQ(*ParsePlanMode("ordered"), plan::PlanMode::kOrdered);
-  EXPECT_FALSE(ParsePlanMode("on").ok());
-  EXPECT_FALSE(ParsePlanMode("off").ok());
 }
 
 TEST(EngineOptionsTest, EnvParsingFailsLoudlyOnUnknownValues) {
@@ -391,13 +382,6 @@ TEST(EngineOptionsTest, EnvParsingFailsLoudlyOnUnknownValues) {
   EXPECT_EQ(*JoinModeFromEnv(), JoinMode::kNaive);
   ASSERT_EQ(unsetenv("MMV_JOIN_MODE"), 0);
   EXPECT_EQ(*JoinModeFromEnv(), JoinMode::kIndexed);  // default
-
-  ASSERT_EQ(setenv("MMV_PLAN_MODE", "reordered", 1), 0);
-  EXPECT_FALSE(PlanModeFromEnv().ok());
-  ASSERT_EQ(setenv("MMV_PLAN_MODE", "declared", 1), 0);
-  EXPECT_EQ(*PlanModeFromEnv(), plan::PlanMode::kDeclared);
-  ASSERT_EQ(unsetenv("MMV_PLAN_MODE"), 0);
-  EXPECT_EQ(*PlanModeFromEnv(), plan::PlanMode::kOrdered);  // default
 }
 
 }  // namespace
