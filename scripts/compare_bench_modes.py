@@ -23,9 +23,10 @@ import sys
 # deliberately excluded: the indexed join legitimately attempts fewer
 # derivations than the oracle, and the parallel engine memoizes solver
 # outcomes per task.
-# The deletion-side counters (replacements, step3) are work product too:
-# StDel's parallel step-3 must replace exactly what the sequential sweep
-# replaces. The fan-out shape counters (partitions_run,
+# The deletion-side counters (replacements, step3, removed) are work
+# product too: StDel's parallel step-3 must replace exactly what the
+# sequential sweep replaces, and step 4 must remove exactly the same
+# atoms. The fan-out shape counters (partitions_run,
 # partition_skipped_small, evaluator_clones) describe the parallel schedule
 # itself — they scale with the thread count BY DESIGN, so a 1-vs-8 sidecar
 # diff must leave them out; everything in COMPARED is a work-product
@@ -39,6 +40,7 @@ COMPARED = (
     "insertions",
     "replacements",
     "step3",
+    "removed",
     "delete_passes",
     "insert_passes",
     # Snapshot publication is one epoch per clean batch regardless of the

@@ -3,8 +3,8 @@
 //
 // Repeated join steps of one clause produce constraints that are identical
 // modulo fresh-variable numbering (ubiquitous in chain rules), and
-// maintenance passes re-solve whole-view constraint snapshots; the memo
-// collapses each canonical class to one real Solve.
+// maintenance passes re-solve canonically identical lifts and replaced
+// constraints; the memo collapses each canonical class to one real Solve.
 //
 // Validity contract: a cached outcome is only as durable as the state it
 // was computed against. Callers own the cache and must use one cache per

@@ -699,8 +699,8 @@ class Engine {
         break;
       }
       stats_->iterations = round;
-      for (const Clause& c : program_.clauses()) {
-        if (c.IsFact()) continue;
+      for (size_t r : program_.rules()) {
+        const Clause& c = program_.clauses()[r];
         MMV_RETURN_NOT_OK(RunClause(c, delta_begin, delta_end, round));
         if (Capped()) return Finish();
       }

@@ -20,6 +20,7 @@ Program::Program() : id_(NextProgramId()) {}
 
 Program::Program(const Program& other)
     : clauses_(other.clauses_),
+      rules_(other.rules_),
       by_pred_(other.by_pred_),
       factory_(other.factory_),
       names_(other.names_),
@@ -28,6 +29,7 @@ Program::Program(const Program& other)
 Program& Program::operator=(const Program& other) {
   if (this != &other) {
     clauses_ = other.clauses_;
+    rules_ = other.rules_;
     by_pred_ = other.by_pred_;
     factory_ = other.factory_;
     names_ = other.names_;
@@ -38,6 +40,7 @@ Program& Program::operator=(const Program& other) {
 
 Program::Program(Program&& other) noexcept
     : clauses_(std::move(other.clauses_)),
+      rules_(std::move(other.rules_)),
       by_pred_(std::move(other.by_pred_)),
       factory_(std::move(other.factory_)),
       names_(std::move(other.names_)),
@@ -48,6 +51,7 @@ Program::Program(Program&& other) noexcept
 Program& Program::operator=(Program&& other) noexcept {
   if (this != &other) {
     clauses_ = std::move(other.clauses_);
+    rules_ = std::move(other.rules_);
     by_pred_ = std::move(other.by_pred_);
     factory_ = std::move(other.factory_);
     names_ = std::move(other.names_);
@@ -62,6 +66,7 @@ int Program::AddClause(Clause clause) {
   // Keep the factory ahead of every variable mentioned in the clause.
   for (VarId v : clause.Variables()) factory_.ReserveAbove(v);
   by_pred_.clear();
+  if (!clause.IsFact()) rules_.push_back(clauses_.size());
   clauses_.push_back(std::move(clause));
   return clauses_.back().number;
 }

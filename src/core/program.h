@@ -41,6 +41,11 @@ class Program {
 
   const std::vector<Clause>& clauses() const { return clauses_; }
 
+  /// \brief Indices into clauses() of the rules (non-fact clauses), in
+  /// clause order. Maintenance passes walk these instead of every clause:
+  /// a mediator's facts can outnumber its rules by orders of magnitude.
+  const std::vector<size_t>& rules() const { return rules_; }
+
   /// \brief The clause numbered \p number (1-based), or nullptr.
   const Clause* ClauseByNumber(int number) const;
 
@@ -68,6 +73,7 @@ class Program {
 
  private:
   std::vector<Clause> clauses_;
+  std::vector<size_t> rules_;
   mutable std::unordered_map<Symbol, std::vector<size_t>> by_pred_;
   VarFactory factory_;
   VarNames names_;

@@ -24,13 +24,16 @@ SnapshotHandle SnapshotStore::Pin() const {
 uint64_t SnapshotStore::PublishImage(SnapshotImageHandle image) {
   // Image extraction already happened OUTSIDE the lock (and was O(delta)
   // thanks to structural sharing); the swap itself is two pointer writes,
-  // so readers keep pinning at full speed throughout.
+  // so readers keep pinning at full speed throughout. The previous epoch
+  // is released after the lock: dropping the last reference frees every
+  // segment only it held, which must not stall a reader's Pin.
   auto next = std::make_shared<ViewSnapshot>();
   next->image = image != nullptr ? std::move(image)
                                  : std::make_shared<SnapshotImage>();
+  SnapshotHandle previous;
   std::lock_guard<std::mutex> lock(mu_);
   next->epoch = current_->epoch + 1;
-  current_ = std::move(next);
+  previous = std::exchange(current_, std::move(next));
   return current_->epoch;
 }
 
@@ -40,8 +43,9 @@ void SnapshotStore::RestoreAtImage(SnapshotImageHandle image,
   next->image = image != nullptr ? std::move(image)
                                  : std::make_shared<SnapshotImage>();
   next->epoch = epoch;
+  SnapshotHandle previous;  // released after the lock, as in PublishImage
   std::lock_guard<std::mutex> lock(mu_);
-  current_ = std::move(next);
+  previous = std::exchange(current_, std::move(next));
 }
 
 uint64_t SnapshotStore::epoch() const {

@@ -1,6 +1,8 @@
 #include "core/view.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <sstream>
 
 namespace mmv {
@@ -37,48 +39,6 @@ void View::IndexAtom(size_t i) {
   }
 }
 
-void View::CompactIndexes(const std::vector<int64_t>& remap) {
-  for (auto it = by_pred_.begin(); it != by_pred_.end();) {
-    std::vector<size_t>& list = it->second;
-    size_t out = 0;
-    for (size_t idx : list) {
-      if (remap[idx] >= 0) list[out++] = static_cast<size_t>(remap[idx]);
-    }
-    list.resize(out);
-    // Compaction preserves relative order, so the list stays ascending.
-    it = list.empty() ? by_pred_.erase(it) : std::next(it);
-  }
-  for (auto it = by_support_.begin(); it != by_support_.end();) {
-    if (remap[it->second] < 0) {
-      it = by_support_.erase(it);
-    } else {
-      it->second = static_cast<size_t>(remap[it->second]);
-      ++it;
-    }
-  }
-  for (auto it = child_index_.begin(); it != child_index_.end();) {
-    if (remap[it->second.first] < 0) {
-      it = child_index_.erase(it);
-    } else {
-      it->second.first = static_cast<size_t>(remap[it->second.first]);
-      ++it;
-    }
-  }
-  auto compact_postings = [&remap](auto* map) {
-    for (auto it = map->begin(); it != map->end();) {
-      std::vector<size_t>& list = it->second;
-      size_t out = 0;
-      for (size_t idx : list) {
-        if (remap[idx] >= 0) list[out++] = static_cast<size_t>(remap[idx]);
-      }
-      list.resize(out);
-      it = list.empty() ? map->erase(it) : std::next(it);
-    }
-  };
-  compact_postings(&by_arg_value_);
-  compact_postings(&by_arg_var_);
-}
-
 void View::Add(ViewAtom atom) {
   max_var_ = std::max(max_var_, MaxVarOf(atom));
   atoms_.push_back(std::move(atom));
@@ -98,12 +58,239 @@ std::vector<ViewAtom> View::TakeAtoms() {
   image_dirty_preds_.clear();
   image_order_stale_ = false;
   // max_var_ is deliberately PRESERVED: the mark is monotone over the
-  // store's whole history (like RemoveIf, which never lowers it), and a
+  // store's whole history (like RemoveAtoms, which never lowers it), and a
   // taker that re-Adds the atoms elsewhere still reads MaxVarId() here to
   // standardize apart. Resetting it would silently forget externally noted
   // variable bounds (NoteExternalVars) that no surviving atom mentions —
   // a capture footgun for any layer that clones or drains views.
   return out;
+}
+
+namespace {
+
+constexpr size_t kRemoved = std::numeric_limits<size_t>::max();
+
+// Past this share of the view (1/kSweepShare), one sweep over every index
+// entry is cheaper than hash-probing each removed or moved atom's entries.
+constexpr size_t kSweepShare = 16;
+
+// Merges the ascending positions \p in into the list's first \p kept
+// (ascending) entries, from the back, and trims the list to the result.
+void MergeFromBack(const std::vector<size_t>& in, size_t kept,
+                   std::vector<size_t>* list) {
+  size_t n = in.size();
+  list->resize(kept + n);
+  size_t write = kept + n;
+  while (n > 0) {
+    if (kept > 0 && (*list)[kept - 1] > in[n - 1]) {
+      (*list)[--write] = (*list)[--kept];
+    } else {
+      (*list)[--write] = in[--n];
+    }
+  }
+}
+
+// One posting list's edits under a swap-fill removal to new size m, both
+// ascending: the dead entries below m, and the positions moved in. Every
+// entry >= m is removed or moved, so the list's tail is dropped wholesale.
+struct ListFix {
+  std::vector<size_t> dead;
+  std::vector<size_t> moved;
+};
+
+// Compacts out the dead entries from the first one on and merges the
+// moved-in positions back: the work is the stretch from the first changed
+// entry to the end of the list.
+void PatchList(const ListFix& fix, size_t new_size,
+               std::vector<size_t>* list) {
+  auto tail = std::lower_bound(list->begin(), list->end(), new_size);
+  size_t kept = static_cast<size_t>(tail - list->begin());
+  if (!fix.dead.empty()) {
+    auto read = std::lower_bound(list->begin(), tail, fix.dead.front());
+    kept = static_cast<size_t>(read - list->begin());
+    size_t d = 0;
+    for (; read != tail; ++read) {
+      if (d < fix.dead.size() && *read == fix.dead[d]) {
+        ++d;
+      } else {
+        (*list)[kept++] = *read;
+      }
+    }
+  }
+  MergeFromBack(fix.moved, kept, list);
+}
+
+// The same rewrite through a dense old -> new position remap.
+void SweepList(const std::vector<size_t>& remap, size_t new_size,
+               std::vector<size_t>* list, std::vector<size_t>* moved) {
+  auto tail = std::lower_bound(list->begin(), list->end(), new_size);
+  moved->clear();
+  for (auto it = tail; it != list->end(); ++it) {
+    if (remap[*it] != kRemoved) moved->push_back(remap[*it]);
+  }
+  // Ascending sources fill descending holes.
+  std::reverse(moved->begin(), moved->end());
+  size_t kept = 0;
+  for (auto it = list->begin(); it != tail; ++it) {
+    if (remap[*it] != kRemoved) (*list)[kept++] = *it;
+  }
+  MergeFromBack(*moved, kept, list);
+}
+
+template <typename Map>
+void PatchLists(
+    const std::unordered_map<typename Map::key_type, ListFix>& fixes,
+    size_t new_size, Map* map) {
+  for (const auto& [key, fix] : fixes) {
+    auto it = map->find(key);
+    PatchList(fix, new_size, &it->second);
+    if (it->second.empty()) map->erase(it);
+  }
+}
+
+template <typename Map>
+void SweepLists(const std::vector<size_t>& remap, size_t new_size, Map* map,
+                std::vector<size_t>* scratch) {
+  for (auto it = map->begin(); it != map->end();) {
+    SweepList(remap, new_size, &it->second, scratch);
+    it = it->second.empty() ? map->erase(it) : std::next(it);
+  }
+}
+
+}  // namespace
+
+size_t View::RemoveAtoms(const std::vector<size_t>& positions) {
+  const size_t removed = positions.size();
+  if (removed == 0) return 0;
+  const size_t old_size = atoms_.size();
+  const size_t new_size = old_size - removed;
+
+  // Pair the holes below new_size (ascending) with the live atoms at or
+  // above it (descending): the last live atom fills the first hole. There
+  // are exactly as many of one as of the other.
+  std::vector<std::pair<size_t, size_t>> moves;  // (from, to)
+  size_t passed = removed;  // positions[passed..] lie above `from`
+  size_t from = old_size;
+  for (size_t hole : positions) {
+    if (hole >= new_size) break;
+    --from;
+    while (passed > 0 && positions[passed - 1] == from) {
+      --passed;
+      --from;
+    }
+    moves.emplace_back(from, hole);
+  }
+
+  for (size_t hole : positions) image_dirty_preds_.insert(atoms_[hole].pred);
+  for (auto [src, dst] : moves) image_dirty_preds_.insert(atoms_[src].pred);
+  if (removed * kSweepShare >= old_size) {
+    SweepIndexes(positions, moves, new_size);
+  } else {
+    PatchIndexes(positions, moves, new_size);
+  }
+
+  for (auto [src, dst] : moves) atoms_[dst] = std::move(atoms_[src]);
+  atoms_.resize(new_size);
+  image_order_stale_ = true;  // the global order is no longer a prefix
+  return removed;
+}
+
+void View::PatchIndexes(const std::vector<size_t>& holes,
+                        const std::vector<std::pair<size_t, size_t>>& moves,
+                        size_t new_size) {
+  // Group the posting-list edits by list.
+  std::unordered_map<Symbol, ListFix> pred_fixes;
+  std::unordered_map<uint64_t, ListFix> value_fixes;
+  std::unordered_map<uint64_t, ListFix> var_fixes;
+  auto for_each_list = [&](size_t i, auto edit) {
+    const ViewAtom& a = atoms_[i];
+    edit(&pred_fixes[a.pred]);
+    for (size_t k = 0; k < a.args.size(); ++k) {
+      uint32_t pos = static_cast<uint32_t>(k);
+      if (a.args[k].is_const()) {
+        edit(&value_fixes[ArgValueKey(a.pred.id(), pos,
+                                      a.args[k].constant())]);
+      } else {
+        edit(&var_fixes[ArgVarKey(a.pred.id(), pos)]);
+      }
+    }
+  };
+  for (size_t hole : holes) {
+    // A hole at or above new_size only needs its lists' tails dropped,
+    // which registering the list is enough for.
+    for_each_list(hole, [&](ListFix* fix) {
+      if (hole < new_size) fix->dead.push_back(hole);
+    });
+  }
+  for (auto [src, dst] : moves) {
+    for_each_list(src, [&](ListFix* fix) { fix->moved.push_back(dst); });
+  }
+  PatchLists(pred_fixes, new_size, &by_pred_);
+  PatchLists(value_fixes, new_size, &by_arg_value_);
+  PatchLists(var_fixes, new_size, &by_arg_var_);
+
+  // Support and child entries: erase every removed atom's first, so that
+  // repointing a moved atom onto a hole's position can never be mistaken
+  // for the hole's own entry under a shared hash.
+  auto support_entry = [&](size_t pos) {
+    auto [lo, hi] = by_support_.equal_range(atoms_[pos].support.Hash());
+    return std::find_if(lo, hi, [&](const auto& e) { return e.second == pos; });
+  };
+  auto child_entry = [&](size_t pos, size_t slot) {
+    auto [lo, hi] = child_index_.equal_range(
+        atoms_[pos].support.children()[slot].Hash());
+    return std::find_if(lo, hi, [&](const auto& e) {
+      return e.second == std::make_pair(pos, slot);
+    });
+  };
+  for (size_t hole : holes) {
+    by_support_.erase(support_entry(hole));
+    for (size_t k = 0; k < atoms_[hole].support.children().size(); ++k) {
+      child_index_.erase(child_entry(hole, k));
+    }
+  }
+  for (auto [src, dst] : moves) {
+    support_entry(src)->second = dst;
+    for (size_t k = 0; k < atoms_[src].support.children().size(); ++k) {
+      child_entry(src, k)->second.first = dst;
+    }
+  }
+}
+
+void View::SweepIndexes(const std::vector<size_t>& holes,
+                        const std::vector<std::pair<size_t, size_t>>& moves,
+                        size_t new_size) {
+  if (new_size == 0) {
+    by_pred_.clear();
+    by_arg_value_.clear();
+    by_arg_var_.clear();
+    by_support_.clear();
+    child_index_.clear();
+    return;
+  }
+  std::vector<size_t> remap(atoms_.size());
+  std::iota(remap.begin(), remap.end(), size_t{0});
+  for (size_t hole : holes) remap[hole] = kRemoved;
+  for (auto [src, dst] : moves) remap[src] = dst;
+
+  std::vector<size_t> scratch;
+  SweepLists(remap, new_size, &by_pred_, &scratch);
+  SweepLists(remap, new_size, &by_arg_value_, &scratch);
+  SweepLists(remap, new_size, &by_arg_var_, &scratch);
+  auto sweep_entries = [&](auto* map, auto position) {
+    for (auto it = map->begin(); it != map->end();) {
+      size_t& pos = position(*it);
+      if (remap[pos] == kRemoved) {
+        it = map->erase(it);
+      } else {
+        pos = remap[pos];
+        ++it;
+      }
+    }
+  };
+  sweep_entries(&by_support_, [](auto& e) -> size_t& { return e.second; });
+  sweep_entries(&child_index_,
+                [](auto& e) -> size_t& { return e.second.first; });
 }
 
 namespace {
@@ -148,14 +335,6 @@ std::vector<std::pair<size_t, size_t>> View::ParentsOfChildSupport(
   ForEachParentOfChild(
       s, [&](size_t parent, size_t slot) { out.emplace_back(parent, slot); });
   return out;
-}
-
-void View::MarkAll(bool value) {
-  // Deliberately NOT an image-dirtying mutation: marks are StDel-internal
-  // scratch state, excluded from image semantics (serialization, queries
-  // and canonical comparison all ignore them). Dirtying every predicate
-  // here would defeat copy-on-write extraction for every deletion batch.
-  for (ViewAtom& a : atoms_) a.marked = value;
 }
 
 namespace {

@@ -9,9 +9,12 @@
 //   - a child-support index (ParentsOfChildSupport — StDel step 3), and
 //   - a per-(predicate, position, ground-value) argument index
 //     (AtomsForArgValue / AtomsForNonConstArg — the fixpoint engine's
-//     indexed-join probe).
-// Add updates all of them in O(|support| + arity); RemoveIf recompacts them
-// in the same pass that compacts the atom vector.
+//     indexed-join probe and the Del/Add set probes).
+// Add updates all of them in O(|support| + arity). RemoveAtoms removes k
+// atoms by filling each hole with the last live atom, so only the removed
+// and moved atoms' index entries change: O(k) support/child-index work plus
+// one fix-up per touched posting list. (A removal of 1/16 of the view or
+// more sweeps each index once instead, which is cheaper at that size.)
 
 #ifndef MMV_CORE_VIEW_H_
 #define MMV_CORE_VIEW_H_
@@ -34,7 +37,7 @@ namespace mmv {
 /// \brief A materialized mediated view M.
 ///
 /// Maintenance algorithms mutate atoms in place through MutableAtom
-/// (replace constraints, set marks) and remove atoms via RemoveIf; the
+/// (replace constraints) and remove atoms via RemoveAtoms / RemoveIf; the
 /// indexes key on pred, args and support, which in-place mutation never
 /// touches.
 class View {
@@ -83,13 +86,11 @@ class View {
 
   const std::vector<ViewAtom>& atoms() const { return atoms_; }
 
-  /// \brief Mutable access for in-place constraint replacement / marking.
+  /// \brief Mutable access for in-place constraint replacement.
   ///
   /// pred, args and support are index keys: callers must not change them
-  /// (use RemoveIf + Add to re-key an atom). Conservatively dirties the
-  /// atom's predicate for copy-on-write extraction — the caller may end up
-  /// only flipping the mark (which images ignore), but re-copying one
-  /// touched segment is cheaper than tracking which field changed.
+  /// (use RemoveAtoms + Add to re-key an atom). Dirties the atom's
+  /// predicate for copy-on-write extraction.
   ViewAtom& MutableAtom(size_t i) {
     image_dirty_preds_.insert(atoms_[i].pred);
     return atoms_[i];
@@ -137,7 +138,7 @@ class View {
 
   /// \brief Allocation-free variant of ParentsOfChildSupport: calls
   /// \p visit(atom index, child slot) per match. The visitor may mutate
-  /// atom constraints/marks but must not Add/RemoveIf.
+  /// atom constraints but must not Add or remove atoms.
   template <typename Visitor>
   void ForEachParentOfChild(const Support& s, Visitor visit) const {
     auto [lo, hi] = child_index_.equal_range(s.Hash());
@@ -149,37 +150,33 @@ class View {
     }
   }
 
-  /// \brief Removes atoms flagged by \p pred; indexes are recompacted in
-  /// the same pass. Returns the number removed.
+  /// \brief Removes the atoms at \p positions (strictly ascending, each
+  /// < size()). Returns the number removed.
   ///
-  /// Index entries of removed atoms are erased and surviving entries are
-  /// renumbered through one old-index -> new-index remap, so support trees
-  /// are never re-hashed — a batch deleting k atoms from an N-atom view
-  /// costs one O(N) sweep regardless of k.
+  /// Each hole below the new size is filled with the last live atom, so
+  /// surviving atoms keep their positions except the moved ones. Only the
+  /// removed and moved atoms' index entries change: support and child
+  /// entries are erased or repointed one by one (support hashes are cached,
+  /// never recomputed), and each touched posting list is fixed up once —
+  /// from its first changed entry to its end — so postings stay ascending.
+  /// From 1/16 of the view on, per-entry hash probes cost more than one
+  /// pass over every index, so the indexes are swept once through a dense
+  /// old -> new position remap instead; the result is the same. The global
+  /// atom order is not preserved: the moved atoms' predicates become
+  /// image-dirty and the image's global order is rebuilt on the next
+  /// ExtractImage.
+  size_t RemoveAtoms(const std::vector<size_t>& positions);
+
+  /// \brief Removes the atoms flagged by \p pred: one scan collecting
+  /// their positions, then RemoveAtoms. Returns the number removed.
   template <typename Pred>
   size_t RemoveIf(Pred pred) {
-    size_t before = atoms_.size();
-    std::vector<int64_t> remap(before);
-    std::vector<ViewAtom> kept;
-    kept.reserve(before);
-    for (size_t i = 0; i < before; ++i) {
-      if (pred(atoms_[i])) {
-        remap[i] = -1;
-        image_dirty_preds_.insert(atoms_[i].pred);
-      } else {
-        remap[i] = static_cast<int64_t>(kept.size());
-        kept.push_back(std::move(atoms_[i]));
-      }
+    std::vector<size_t> doomed;
+    for (size_t i = 0; i < atoms_.size(); ++i) {
+      if (pred(atoms_[i])) doomed.push_back(i);
     }
-    atoms_ = std::move(kept);
-    if (atoms_.size() == before) return 0;  // indexes still valid
-    image_order_stale_ = true;  // the global order is no longer a prefix
-    CompactIndexes(remap);
-    return before - atoms_.size();
+    return RemoveAtoms(doomed);
   }
-
-  /// \brief Sets every atom's mark to \p value (StDel step 1).
-  void MarkAll(bool value);
 
   size_t size() const { return atoms_.size(); }
   bool empty() const { return atoms_.empty(); }
@@ -213,7 +210,7 @@ class View {
   /// The returned image is safe to read from any thread; this view keeps a
   /// reference so the NEXT extraction can share against it. Single-writer
   /// like every other mutation path: callers must not race ExtractImage
-  /// with Add/RemoveIf/MutableAtom (ApplyBatch already serializes them).
+  /// with Add/RemoveAtoms/MutableAtom (ApplyBatch already serializes them).
   SnapshotImageHandle ExtractImage(ImageExtractStats* stats = nullptr) const;
 
   /// \brief Sizes of the maintained indexes, for observability.
@@ -239,9 +236,16 @@ class View {
 
  private:
   void IndexAtom(size_t i);
-  /// Applies an old-index -> new-index (-1 = removed) remap to all three
-  /// indexes in place, without recomputing any support hash.
-  void CompactIndexes(const std::vector<int64_t>& remap);
+  // RemoveAtoms' two ways to fix the indexes up: the same result at
+  // different costs. Patch edits only the removed and moved atoms'
+  // entries; Sweep visits every entry once through a dense remap, which is
+  // cheaper once a large share of the view goes.
+  void PatchIndexes(const std::vector<size_t>& holes,
+                    const std::vector<std::pair<size_t, size_t>>& moves,
+                    size_t new_size);
+  void SweepIndexes(const std::vector<size_t>& holes,
+                    const std::vector<std::pair<size_t, size_t>>& moves,
+                    size_t new_size);
 
   // Key of one (pred, position, ground-value) argument bucket: a plain
   // 64-bit hash (no Value is stored or compared in the map — see
@@ -266,9 +270,10 @@ class View {
 
   // Copy-on-write extraction state (core/snapshot_image.h). The dirty set
   // names predicates whose segment in last_image_ may no longer match this
-  // view; order_stale_ records that atoms were removed, invalidating the
-  // shared global-order prefix. mutable because ExtractImage is logically
-  // const (it caches, never changes view semantics). The copy operations
+  // view; order_stale_ records that atoms were removed or moved,
+  // invalidating the shared global-order prefix. mutable because
+  // ExtractImage is logically const (it caches, never changes view
+  // semantics). The copy operations
   // above refresh-and-share this cache rather than duplicating dirty
   // bookkeeping (see their comment); moves transfer it verbatim.
   mutable SnapshotImageHandle last_image_;

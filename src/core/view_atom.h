@@ -20,7 +20,6 @@ struct ViewAtom {
   Constraint constraint;  ///< the atom's constraint (true for ground facts)
   Support support;        ///< derivation index (unique per duplicate atom)
   int depth = 0;          ///< T_P iteration at which the atom was derived
-  bool marked = false;    ///< StDel working mark
 
   /// \brief Renders pred(args) <- constraint [support].
   std::string ToString(const VarNames* names = nullptr) const;

@@ -32,8 +32,8 @@ int SeedExtCounter(const View& view) {
 // atoms deleted earlier — in this burst or in the view's whole history).
 std::unordered_set<Symbol> RuleParticipants(const Program& program) {
   std::unordered_set<Symbol> preds;
-  for (const Clause& c : program.clauses()) {
-    if (c.IsFact()) continue;
+  for (size_t r : program.rules()) {
+    const Clause& c = program.clauses()[r];
     preds.insert(c.head_pred);
     for (const BodyAtom& b : c.body) preds.insert(b.pred);
   }

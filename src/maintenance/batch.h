@@ -8,8 +8,8 @@
 //      delete of the same canonical atom drops the insert. Every rule
 //      preserves in-order instance semantics (see PlanBatch).
 //   2. The surviving updates are grouped into maximal same-kind runs.
-//      Each delete run becomes ONE multi-atom StDel pass (one marking, one
-//      Del set spanning every request, one step-2/3 sweep, one prune) and
+//      Each delete run becomes ONE multi-atom StDel pass (one Del set
+//      spanning every request, one step-2/3 sweep, one prune) and
 //      each insert run becomes ONE seminaive continuation seeded with all
 //      surviving externals.
 //

@@ -1,6 +1,7 @@
 #include "maintenance/del_add.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "constraint/simplify.h"
 #include "query/enumerate.h"
@@ -38,6 +39,35 @@ Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
   return c;
 }
 
+// The atoms of \p pred that may share an instance with a request whose
+// simplified head is \p head, ascending. At a ground head position an atom
+// holding a different constant cannot overlap, so the candidates are the
+// ascending merge of the atoms holding that constant (or a hash twin of it)
+// and the atoms holding a non-constant there — at the ground position with
+// the fewest of them. Without a ground position: every atom of \p pred.
+const std::vector<size_t>& OverlapCandidates(const View& view, Symbol pred,
+                                             const TermVec& head,
+                                             std::vector<size_t>* scratch) {
+  const std::vector<size_t>* same = nullptr;
+  const std::vector<size_t>* open = nullptr;
+  for (size_t k = 0; k < head.size(); ++k) {
+    if (!head[k].is_const()) continue;
+    const std::vector<size_t>& s = view.AtomsForArgValue(pred, k,
+                                                         head[k].constant());
+    const std::vector<size_t>& o = view.AtomsForNonConstArg(pred, k);
+    if (same == nullptr || s.size() + o.size() < same->size() + open->size()) {
+      same = &s;
+      open = &o;
+    }
+  }
+  if (same == nullptr) return view.AtomsFor(pred);
+  scratch->clear();
+  scratch->reserve(same->size() + open->size());
+  std::merge(same->begin(), same->end(), open->begin(), open->end(),
+             std::back_inserter(*scratch));
+  return *scratch;
+}
+
 }  // namespace
 
 VarFactory FreshFactory(const Program& program, const View& view,
@@ -70,23 +100,29 @@ Result<std::vector<DelElement>> BuildDel(const View& view,
   factory.ReserveAbove(view.MaxVarId());
   factory.ReserveAbove(MaxVar(request.args, request.constraint));
 
-  for (size_t i : view.AtomsFor(request.pred)) {
+  // Simplify the request once: its ground head positions select the
+  // candidate atoms, and its variables are standardized apart per atom.
+  SimplifiedAtom req = SimplifyAtom(request.args, request.constraint);
+  if (req.constraint.is_false()) return del;
+  std::vector<VarId> req_vars;
+  CollectVars(req.head, &req_vars);
+  for (VarId v : req.constraint.Variables()) {
+    if (std::find(req_vars.begin(), req_vars.end(), v) == req_vars.end()) {
+      req_vars.push_back(v);
+    }
+  }
+
+  std::vector<size_t> scratch;
+  for (size_t i : OverlapCandidates(view, request.pred, req.head, &scratch)) {
     const ViewAtom& atom = view.atoms()[i];
-    if (atom.args.size() != request.args.size()) {
+    if (atom.args.size() != req.head.size()) {
       continue;
     }
     // Standardize the request apart from the atom.
-    std::vector<VarId> req_vars;
-    CollectVars(request.args, &req_vars);
-    for (VarId v : request.constraint.Variables()) {
-      if (std::find(req_vars.begin(), req_vars.end(), v) == req_vars.end()) {
-        req_vars.push_back(v);
-      }
-    }
     Substitution renaming = FreshRenaming(req_vars, &factory);
-    TermVec req_args = renaming.Apply(request.args);
+    TermVec req_args = renaming.Apply(req.head);
     Constraint overlap = atom.constraint;
-    overlap.AndWith(renaming.Apply(request.constraint));
+    overlap.AndWith(renaming.Apply(req.constraint));
     for (size_t k = 0; k < req_args.size(); ++k) {
       overlap.Add(Primitive::Eq(atom.args[k], req_args[k]));
     }
@@ -149,26 +185,30 @@ Result<std::vector<ViewAtom>> BuildAdd(const View& view,
   factory.ReserveAbove(view.MaxVarId());
   factory.ReserveAbove(MaxVar(request.args, request.constraint));
 
-  Constraint add_constraint = request.constraint;
-  for (size_t i : view.AtomsFor(request.pred)) {
+  // Simplify the request once: its ground head positions select the atoms
+  // that can cover any of its instances.
+  SimplifiedAtom req = SimplifyAtom(request.args, request.constraint);
+  if (req.constraint.is_false()) return std::vector<ViewAtom>{};
+  Constraint add_constraint = req.constraint;
+  std::vector<size_t> scratch;
+  for (size_t i : OverlapCandidates(view, request.pred, req.head, &scratch)) {
     const ViewAtom& atom = view.atoms()[i];
-    if (atom.args.size() != request.args.size()) {
+    if (atom.args.size() != req.head.size()) {
       continue;
     }
     if (atom.constraint.is_false()) continue;
-    if (atom.constraint.is_true() && atom.args == request.args) {
-      // The whole predicate instance space is already present.
+    if (atom.constraint.is_true() && atom.args == req.head) {
+      // The whole requested instance space is already present.
       return std::vector<ViewAtom>{};
     }
-    Constraint covered = atom.constraint;
     // Express "request instance already equals this atom's instance".
-    NotBlock block = NegatedInstanceBlock(request.args, atom.args,
-                                          covered, &factory);
+    NotBlock block = NegatedInstanceBlock(req.head, atom.args,
+                                          atom.constraint, &factory);
     add_constraint.AddNot(std::move(block));
     if (add_constraint.is_false()) return std::vector<ViewAtom>{};
   }
 
-  SimplifiedAtom s = SimplifyAtom(request.args, add_constraint);
+  SimplifiedAtom s = SimplifyAtom(req.head, add_constraint);
   if (s.constraint.is_false()) return std::vector<ViewAtom>{};
   SolveOutcome o = solver->Solve(s.constraint);
   if (o == SolveOutcome::kError) return solver->last_status();

@@ -34,6 +34,11 @@ struct DelElement {
 /// \brief Builds Del (Section 3.1): for every view atom A(Y) <- phi with
 /// phi ^ (X=Y) ^ psi solvable, records that atom and the overlap constraint.
 ///
+/// The request is simplified once; at a ground head position only the
+/// atoms holding that constant or a variable there are examined (via the
+/// view's argument index), in ascending order — an atom holding another
+/// constant cannot overlap, so the set and its order match a full scan.
+///
 /// The overlap constraint is simplified but re-expressed over the original
 /// atom's head variables so it can be negated against the atom later.
 ///
@@ -52,9 +57,11 @@ Result<std::vector<DelElement>> BuildDel(const View& view,
 /// A(X) <- psi ^ not(phi_1[X]) ^ ... ^ not(phi_m[X]).
 ///
 /// Returns zero atoms when the request is provably already covered, and
-/// at most one atom otherwise. \p ext_support tags the atom's support with
-/// a unique negative clause number (external facts have no deriving clause);
-/// the counter is decremented per inserted atom.
+/// at most one atom otherwise. Like BuildDel, it examines only the atoms
+/// that can share an instance with the simplified request. \p ext_support
+/// tags the atom's support with a unique negative clause number (external
+/// facts have no deriving clause); the counter is decremented per inserted
+/// atom.
 Result<std::vector<ViewAtom>> BuildAdd(const View& view,
                                        const UpdateAtom& request,
                                        Solver* solver, int* ext_support);
@@ -115,8 +122,10 @@ VarFactory FreshFactory(const Program& program, const View& view,
 VarFactory FreshFactory(const Program& program, const View& view,
                         const std::vector<UpdateAtom>& requests);
 
-/// \brief Removes every atom whose constraint is unsatisfiable (StDel
-/// step 4 and the final DRed cleanup). Returns the number removed.
+/// \brief Removes every atom whose constraint is unsatisfiable — a
+/// whole-view sweep for the DRed cleanup and the recompute oracle (StDel's
+/// step 4 solves only the atoms its pass replaced). Returns the number
+/// removed.
 size_t PruneUnsolvable(View* view, Solver* solver);
 
 }  // namespace maint

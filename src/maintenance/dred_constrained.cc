@@ -75,8 +75,8 @@ Result<View> DeleteDRed(const Program& program, const View& view,
           "P_OUT unfolding did not converge within max_iterations; "
           "increase FixpointOptions::max_iterations");
     }
-    for (const Clause& c : program.clauses()) {
-      if (c.IsFact()) continue;
+    for (size_t r : program.rules()) {
+      const Clause& c = program.clauses()[r];
       size_t n = c.body.size();
       // Exactly one body position j drawn from the current P_OUT layer.
       for (size_t j = 0; j < n; ++j) {

@@ -14,8 +14,8 @@ namespace {
 std::unordered_map<Symbol, std::vector<Symbol>> RuleAdjacency(
     const Program& program) {
   std::unordered_map<Symbol, std::vector<Symbol>> adj;
-  for (const Clause& c : program.clauses()) {
-    if (c.IsFact()) continue;
+  for (size_t r : program.rules()) {
+    const Clause& c = program.clauses()[r];
     for (const BodyAtom& b : c.body) {
       adj[b.pred].push_back(c.head_pred);
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <unordered_map>
 
 #include "constraint/simplify.h"
 #include "constraint/solve_cache.h"
@@ -34,15 +35,21 @@ Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
   return c;
 }
 
+// Pre-pass constraints of the atoms this pass replaced, keyed by atom
+// index; an atom absent from the map still holds its pre-pass constraint.
+using OriginalConstraints = std::unordered_map<size_t, Constraint>;
+
 // Step 3's lift: reassembles the derivation of `parent` through `renamed`
 // with the deleted part at `child_slot` and the (current) sibling atoms
 // elsewhere — conditions (a)-(b) — then simplifies and re-expresses the
 // result over the parent's own head variables. Returns false when a
-// sibling is gone (condition (b) fails). Reads only snapshot state (the
-// pair, `original` constraints, immutable atom args/supports), so
-// concurrent calls for different parents are independent; fresh variables
-// come from the caller's \p factory.
-bool BuildLift(const View& view, const std::vector<Constraint>& original,
+// sibling is gone (condition (b) fails). Siblings contribute their
+// PRE-PASS constraints (`originals`, else the atom's own). Reads only
+// snapshot state (the pair, `originals`, immutable atom args/supports and
+// constraints nobody writes during a fan-out), so concurrent calls for
+// different parents are independent; fresh variables come from the
+// caller's \p factory.
+bool BuildLift(const View& view, const OriginalConstraints& originals,
                const Pair& pair, const ViewAtom& parent, size_t child_slot,
                const Clause& renamed, VarFactory* factory, VarSet* var_set,
                Constraint* out) {
@@ -59,7 +66,9 @@ bool BuildLift(const View& view, const std::vector<Constraint>& original,
       if (sib < 0) return false;  // condition (b) fails
       const ViewAtom& sib_atom = view.atoms()[static_cast<size_t>(sib)];
       inst_args = &sib_atom.args;
-      inst_c = &original[static_cast<size_t>(sib)];
+      auto saved = originals.find(static_cast<size_t>(sib));
+      inst_c = saved == originals.end() ? &sib_atom.constraint
+                                        : &saved->second;
     }
     var_set->Clear();
     var_set->AddTerms(*inst_args);
@@ -119,18 +128,19 @@ Status DeleteStDelBatch(const Program& program, View* view,
   plan::PlanCache local_plans;
   if (plans == nullptr) plans = &local_plans;
   const int64_t plan_hits_start = plans->stats().cache_hits;
-  // One solver memo per batch: step-3 lifts and the step-4 whole-view prune
-  // re-solve many canonically identical constraints (untouched siblings,
-  // repeated subtraction shapes), and the external database is fixed for
-  // the duration of the batch — the cache's validity contract.
+  // One solver memo per batch: step-3 lifts and the step-4 prune re-solve
+  // many canonically identical constraints (untouched siblings, repeated
+  // subtraction shapes), and the external database is fixed for the
+  // duration of the batch — the cache's validity contract.
   SolveCache batch_cache;
   SolverOptions cached_options = solver_options;
   if (cached_options.cache == nullptr) cached_options.cache = &batch_cache;
   Solver solver(evaluator, cached_options);
   VarFactory factory = FreshFactory(program, *view, requests);
 
-  // Step 1: mark every constraint atom in M — once for the whole batch.
-  view->MarkAll(true);
+  // Step 1 of the paper marks every atom of M as a step-3 candidate; no
+  // atom is ever unmarked within a pass, so the mark is implicit here and
+  // the pass touches only what the supports of the deleted facts reach.
 
   // Input: the union of the requests' Del sets, every overlap computed
   // against the PRE-deletion constraints. Overlapping requests may both
@@ -151,18 +161,25 @@ Status DeleteStDelBatch(const Program& program, View* view,
     return Status::OK();
   }
 
-  // Snapshot the pre-deletion constraints: step 3's lift reassembles the
-  // derivation as it existed when it was made, so sibling contributions use
-  // their ORIGINAL constraints. (Derivations lost through a sibling's own
-  // deletion are subtracted by that sibling's P_OUT pair separately;
-  // using the already-replaced sibling constraint here would make the lift
-  // unsatisfiable whenever several body atoms die together, leaving the
-  // parent's lost instances behind.)
-  std::vector<Constraint> original_constraints;
-  original_constraints.reserve(view->size());
-  for (const ViewAtom& a : view->atoms()) {
-    original_constraints.push_back(a.constraint);
-  }
+  // Pre-pass constraints, saved on each atom's first overwrite: step 3's
+  // lift reassembles the derivation as it existed when it was made, so
+  // sibling contributions use their ORIGINAL constraints. (Derivations
+  // lost through a sibling's own deletion are subtracted by that sibling's
+  // P_OUT pair separately; using the already-replaced sibling constraint
+  // here would make the lift unsatisfiable whenever several body atoms die
+  // together, leaving the parent's lost instances behind.) The map's keys
+  // are exactly the atoms steps 2-3 replaced — step 4's work list.
+  OriginalConstraints originals;
+  auto subtract = [&](size_t idx, const Constraint& deleted) {
+    ViewAtom& atom = view->MutableAtom(idx);
+    auto [saved, first] = originals.try_emplace(idx, atom.constraint);
+    if (SubtractDeletedPart(atom.args, deleted, evaluator,
+                            &atom.constraint)) {
+      return true;
+    }
+    if (first) originals.erase(saved);  // untouched after all
+    return false;
+  };
 
   // Support lookups go through the view's incrementally-maintained indexes
   // (supports are unique identities, Lemma 1); nothing is rebuilt here.
@@ -172,13 +189,12 @@ Status DeleteStDelBatch(const Program& program, View* view,
   // Step 2: subtract the Del overlaps and seed P_OUT.
   std::vector<Pair> pout;
   for (const DelElement& e : del) {
-    ViewAtom& atom = view->MutableAtom(e.atom_index);
-    if (!SubtractDeletedPart(atom.args, e.deleted_part, evaluator,
-                             &atom.constraint)) {
+    if (!subtract(e.atom_index, e.deleted_part)) {
       continue;  // the overlap denotes no instances at the current state
     }
     stats->replacements++;
     stats->step2_replacements++;
+    const ViewAtom& atom = view->atoms()[e.atom_index];
     pout.push_back(Pair{atom.pred, atom.args, e.deleted_part, atom.support});
   }
 
@@ -224,12 +240,11 @@ Status DeleteStDelBatch(const Program& program, View* view,
       if (parts <= 1) stats->partition_skipped_small++;
     }
     if (parts > 1) {
-      // Collect phase: marked / clause / arity screening and the plan-cache
-      // lookups stay on this thread (PlanCache is not synchronized).
+      // Collect phase: clause / arity screening and the plan-cache lookups
+      // stay on this thread (PlanCache is not synchronized).
       lift_items.clear();
       for (auto [parent_idx, child_slot] : parents) {
         const ViewAtom& parent = view->atoms()[parent_idx];
-        if (!parent.marked) continue;
         const Clause* clause =
             program.ClauseByNumber(parent.support.clause());
         if (clause == nullptr) continue;  // externally inserted: no clause
@@ -260,7 +275,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
                   item.clause->RenameWith(item.plan->clause_vars, &staging);
               const ViewAtom& parent = view->atoms()[item.parent_idx];
               Constraint lifted;
-              if (!BuildLift(*view, original_constraints, pair, parent,
+              if (!BuildLift(*view, originals, pair, parent,
                              item.child_slot, renamed, &staging, &item_vars,
                              &lifted)) {
                 continue;
@@ -289,12 +304,12 @@ Status DeleteStDelBatch(const Program& program, View* view,
         if (!out.applicable) continue;
         RemapVarsAtOrAbove(kStagingVarBase, &factory, /*args=*/nullptr,
                            &out.lifted, &var_set);
-        ViewAtom& parent = view->MutableAtom(lift_items[i].parent_idx);
-        if (!SubtractDeletedPart(parent.args, out.lifted, evaluator,
-                                 &parent.constraint)) {
+        size_t parent_idx = lift_items[i].parent_idx;
+        if (!subtract(parent_idx, out.lifted)) {
           continue;  // the lifted part denotes no instances
         }
         stats->replacements++;
+        const ViewAtom& parent = view->atoms()[parent_idx];
         pout.push_back(
             Pair{parent.pred, parent.args, out.lifted, parent.support});
       }
@@ -302,9 +317,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
     }
 
     for (auto [parent_idx, child_slot] : parents) {
-      ViewAtom& parent = view->MutableAtom(parent_idx);
-      if (!parent.marked) continue;
-
+      const ViewAtom& parent = view->atoms()[parent_idx];
       const Clause* clause = program.ClauseByNumber(parent.support.clause());
       if (clause == nullptr) continue;  // externally inserted: no clause
       // Standardize the clause apart via its compiled plan's precomputed
@@ -317,8 +330,8 @@ Status DeleteStDelBatch(const Program& program, View* view,
       // Reassemble the derivation with the deleted part at child_slot and
       // the (current) sibling atoms elsewhere — conditions (a)-(c).
       Constraint lifted;
-      if (!BuildLift(*view, original_constraints, pair, parent, child_slot,
-                     renamed, &factory, &var_set, &lifted)) {
+      if (!BuildLift(*view, originals, pair, parent, child_slot, renamed,
+                     &factory, &var_set, &lifted)) {
         continue;
       }
       if (lifted.is_false()) continue;
@@ -326,8 +339,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
       if (o == SolveOutcome::kError) return solver.last_status();
       if (!IsSolvable(o)) continue;
 
-      if (!SubtractDeletedPart(parent.args, lifted, evaluator,
-                               &parent.constraint)) {
+      if (!subtract(parent_idx, lifted)) {
         continue;  // the lifted part denotes no instances
       }
       stats->replacements++;
@@ -336,8 +348,27 @@ Status DeleteStDelBatch(const Program& program, View* view,
   }
   stats->pout_pairs = pout.size();
 
-  // Step 4: drop atoms whose constraints became unsolvable.
-  stats->removed_unsolvable = PruneUnsolvable(view, &solver);
+  // Step 4: drop atoms whose constraints became unsolvable. Only the atoms
+  // steps 2-3 replaced are solved: every other atom keeps a constraint that
+  // was solvable when it was written — T_P materialization and insertion
+  // add only solvable atoms, and every earlier pass pruned what it
+  // replaced. That assumes the earlier pass finished cleanly; one that
+  // failed midway may leave replaced, unpruned atoms behind (a failed batch
+  // is not yet all-or-nothing). A T_P view whose external domains change is
+  // rematerialized (MaintainedView), never patched here; a W_P view keeps
+  // its unsolvable atoms by design, and step 4 leaves them be.
+  std::vector<size_t> replaced;
+  replaced.reserve(originals.size());
+  for (const auto& entry : originals) replaced.push_back(entry.first);
+  std::sort(replaced.begin(), replaced.end());
+  std::vector<size_t> unsolvable;
+  for (size_t idx : replaced) {
+    const Constraint& c = view->atoms()[idx].constraint;
+    if (c.is_false() || solver.Solve(c) == SolveOutcome::kUnsat) {
+      unsolvable.push_back(idx);
+    }
+  }
+  stats->removed_unsolvable = view->RemoveAtoms(unsolvable);
   // Steps 2/3 wrote factory-fresh variables into surviving constraints;
   // raise the view's high-water mark so later updates stay standardized
   // apart from them.

@@ -11,6 +11,12 @@
 //           pair — until no replacements happen;
 //   step 4: atoms whose constraints became unsolvable are removed.
 //
+// The paper's step 1 marks every atom; nothing unmarks one within a pass,
+// so the mark is implicit and a pass touches only the atoms the deleted
+// facts' supports reach: Del construction probes the argument index,
+// steps 2-3 walk the child-support index, and step 4 solves and removes
+// only the atoms steps 2-3 replaced.
+//
 // No rederivation step, no duplicate elimination: this is the paper's
 // improvement over (Extended) DRed and over the counting algorithm.
 
@@ -62,14 +68,14 @@ Status DeleteStDel(const Program& program, View* view,
                    StDelStats* stats = nullptr);
 
 /// \brief Deletes the instances of ALL requests from \p view in one pass:
-/// one step-1 marking, one Del set spanning every request (each built
-/// against the pre-deletion constraints), one step-2/step-3 replacement
-/// sweep and one step-4 prune.
+/// one Del set spanning every request (each built against the
+/// pre-deletion constraints), one step-2/step-3 replacement sweep and one
+/// step-4 prune.
 ///
 /// Instance-equivalent to applying the requests one at a time — subtraction
 /// commutes, and step 3 lifts deleted parts against the ORIGINAL sibling
 /// constraints either way — but a K-request burst costs one propagation
-/// pass (one marking, one constraint snapshot, one prune) instead of K.
+/// pass (one sweep, one prune) instead of K.
 ///
 /// \p plans is the shared compiled-clause-plan cache: step 3 renames the
 /// deriving clause once per visited parent, and the plan's precomputed
@@ -79,8 +85,8 @@ Status DeleteStDel(const Program& program, View* view,
 ///
 /// \p num_threads > 1 parallelizes step 3's LIFT CHECKS (rename, reassembly,
 /// simplify, solve — the expensive part) across each P_OUT pair's parents:
-/// the checks read only snapshot state (the pair, the original-constraint
-/// snapshot, immutable atom args), so they are order-independent, and the
+/// the checks read only snapshot state (the pair, the saved original
+/// constraints, immutable atom args), so they are order-independent, and the
 /// constraint subtractions are then applied sequentially in the parent
 /// order the single-threaded sweep uses. Propagation order, replacement
 /// counts and the resulting instance sets are identical to num_threads=1;

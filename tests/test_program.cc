@@ -76,6 +76,20 @@ TEST(SupportTest, EqualityHashDepthCount) {
   EXPECT_EQ(nested.ToString(), "<4, <2, <3>>, <3>>");
 }
 
+TEST(ProgramTest, RulesListsTheNonFactClausesInOrder) {
+  Program p = ParseOrDie(R"(
+    a(X) <- X = 1.
+    b(X) <- a(X).
+    a(X) <- X = 2.
+    c(X) <- b(X) & a(X).
+  )");
+  EXPECT_EQ(p.rules(), (std::vector<size_t>{1, 3}));
+  Program copy = p;
+  EXPECT_EQ(copy.rules(), p.rules());
+  Program moved = std::move(copy);
+  EXPECT_EQ(moved.rules(), p.rules());
+}
+
 TEST(ViewTest, AddQueryRemove) {
   View v;
   ViewAtom a;
@@ -91,9 +105,6 @@ TEST(ViewTest, AddQueryRemove) {
   EXPECT_EQ(v.AtomsFor("p"), (std::vector<size_t>{0}));
   EXPECT_TRUE(v.HasSupport(Support(1)));
   EXPECT_FALSE(v.HasSupport(Support(9)));
-
-  v.MarkAll(true);
-  EXPECT_TRUE(v.atoms()[0].marked);
 
   size_t removed = v.RemoveIf(
       [](const ViewAtom& atom) { return atom.pred == "p"; });

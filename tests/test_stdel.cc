@@ -236,5 +236,65 @@ TEST(StDelTest, StatsArePopulated) {
   EXPECT_GT(stats.solver.solve_calls, 0);
 }
 
+TEST(StDelTest, SiblingsDyingTogetherLiftAgainstOriginalConstraints) {
+  // Both body atoms of p(1)'s only derivation die in one pass. Each
+  // sibling's P_OUT pair lifts through the OTHER sibling's pre-pass
+  // constraint; read against the already-replaced (false) constraint, both
+  // lifts would be unsatisfiable and p(1) would survive the pass.
+  TestWorld w = TestWorld::Make();
+  Program p = ParseOrDie(R"(
+    a(X) <- X = 1.
+    a(X) <- X = 2.
+    b(X) <- X = 1.
+    b(X) <- X = 2.
+    p(X) <- a(X) & b(X).
+  )");
+  View view = MaterializeOrDie(p, w.domains.get());
+  ASSERT_EQ(InstancesOf(view, "p", w.domains.get()),
+            (std::set<std::string>{"p(1)", "p(2)"}));
+  std::vector<maint::UpdateAtom> requests = {
+      ParseUpdate("a(X) <- X = 1.", &p), ParseUpdate("b(X) <- X = 1.", &p)};
+  maint::StDelStats stats;
+  ASSERT_TRUE(maint::DeleteStDelBatch(p, &view, requests, w.domains.get(), {},
+                                      &stats)
+                  .ok());
+  EXPECT_EQ(stats.step2_replacements, 2u);
+  EXPECT_EQ(InstancesOf(view, "p", w.domains.get()),
+            (std::set<std::string>{"p(2)"}));
+  EXPECT_EQ(InstancesOf(view, "a", w.domains.get()),
+            (std::set<std::string>{"a(2)"}));
+  EXPECT_EQ(InstancesOf(view, "b", w.domains.get()),
+            (std::set<std::string>{"b(2)"}));
+}
+
+TEST(StDelTest, DeletePassSolvesOnlyWhatItTouches) {
+  // A one-fact delete on a large multi-chain view: the other 49 chains and
+  // the rest of chain 0 are ballast the pass must not visit. Del
+  // construction solves one overlap per Del element (the ground probe finds
+  // one candidate), step 3 one lift per replacement it makes (every chain
+  // atom has one parent) and step 4 at most one constraint per replaced
+  // atom — at most 2 x (Del elements + replacements) solves, where a
+  // whole-view step 4 would solve every atom.
+  TestWorld w = TestWorld::Make();
+  Program p = workload::MakeMultiChain(/*chains=*/50, /*depth=*/5,
+                                       /*width=*/80);
+  View view = MaterializeOrDie(p, w.domains.get());
+  ASSERT_GE(view.size(), 20000u);
+  const size_t before = view.size();
+  maint::UpdateAtom req = workload::DeleteFactRequest(p, 0);
+  maint::StDelStats stats;
+  ASSERT_TRUE(
+      maint::DeleteStDel(p, &view, req, w.domains.get(), {}, &stats).ok());
+  EXPECT_EQ(stats.del_elements, 1u);
+  EXPECT_EQ(stats.replacements, 6u);  // the fact and its 5 descendants
+  EXPECT_EQ(stats.removed_unsolvable, 6u);
+  EXPECT_EQ(view.size(), before - 6);
+  const size_t bound = 2 * (stats.del_elements + stats.replacements);
+  EXPECT_LE(stats.solver.solve_calls, static_cast<int64_t>(bound));
+  std::set<std::string> tip = InstancesOf(view, "c0_p5", w.domains.get());
+  EXPECT_EQ(tip.count("c0_p5(0)"), 0u);
+  EXPECT_EQ(tip.size(), 79u);
+}
+
 }  // namespace
 }  // namespace mmv

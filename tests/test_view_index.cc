@@ -1,11 +1,15 @@
 // Property tests for the View index layer: the incrementally-maintained
-// by-predicate posting lists, support hash index, and child-support index
-// must agree with a linear-scan reference oracle across randomized
-// Add / RemoveIf / in-place-constraint-replacement sequences.
+// by-predicate posting lists, support hash index, child-support index and
+// argument indexes must agree with a linear-scan reference oracle across
+// randomized Add / RemoveAtoms / RemoveIf / in-place-constraint-replacement
+// sequences, and copy-on-write images extracted across swap-fill removals
+// must match the image of a freshly built view.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/interner.h"
@@ -179,6 +183,154 @@ void CheckAgainstOracle(const View& v, Rng* rng) {
   }
 }
 
+// Index sizes must account for exactly the atoms present: one posting and
+// one support entry per atom, one child entry per child slot, one argument
+// posting per argument. Catches stale entries under keys the oracle probes
+// above never visit.
+void CheckIndexTotals(const View& v) {
+  size_t children = 0, args = 0;
+  for (const ViewAtom& a : v.atoms()) {
+    children += a.support.children().size();
+    args += a.args.size();
+  }
+  View::IndexStats st = v.index_stats();
+  EXPECT_EQ(st.postings, v.size());
+  EXPECT_EQ(st.support_entries, v.size());
+  EXPECT_EQ(st.child_entries, children);
+  EXPECT_EQ(st.arg_value_entries + st.arg_var_entries, args);
+}
+
+std::vector<std::string> AtomStrings(const View& v) {
+  std::vector<std::string> out;
+  for (const ViewAtom& a : v.atoms()) out.push_back(a.ToString());
+  return out;
+}
+
+// An extracted image must match the image of a fresh view built from the
+// same atoms in the same order: same segments in posting order, same
+// global order.
+void ExpectImageMatchesFreshView(const View& v) {
+  View fresh;
+  for (const ViewAtom& a : v.atoms()) fresh.Add(a);
+  SnapshotImageHandle got = v.ExtractImage();
+  SnapshotImageHandle want = fresh.ExtractImage();
+  ASSERT_EQ(got->atom_count, want->atom_count);
+  ASSERT_EQ(got->segments.size(), want->segments.size());
+  for (const auto& [pred, seg] : want->segments) {
+    const SnapshotImage::Segment& g = got->AtomsFor(pred);
+    ASSERT_EQ(g.size(), seg->size()) << pred;
+    for (size_t i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(g[i].ToString(), (*seg)[i].ToString()) << pred << " #" << i;
+    }
+  }
+  std::vector<std::string> got_order;
+  got->ForEachAtom([&](const ViewAtom& a) {
+    got_order.push_back(a.ToString());
+    return true;
+  });
+  EXPECT_EQ(got_order, AtomStrings(v));
+}
+
+// Hole sets of every shape RemoveAtoms must handle: none, all, a tail
+// suffix, a single hole, and random subsets from sparse (the per-entry
+// patch) to dense (the sweep).
+std::vector<size_t> RandomHoles(Rng* rng, size_t n) {
+  std::vector<size_t> holes;
+  int64_t shape = rng->Int(0, 5);
+  if (shape == 0 || n == 0) return holes;
+  if (shape == 1) {
+    for (size_t i = 0; i < n; ++i) holes.push_back(i);
+  } else if (shape == 2) {
+    int64_t first = rng->Int(0, static_cast<int64_t>(n) - 1);
+    for (size_t i = static_cast<size_t>(first); i < n; ++i) {
+      holes.push_back(i);
+    }
+  } else if (shape == 3) {
+    holes.push_back(
+        static_cast<size_t>(rng->Int(0, static_cast<int64_t>(n) - 1)));
+  } else {
+    double p = rng->Double(0.01, 0.9);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng->Chance(p)) holes.push_back(i);
+    }
+  }
+  return holes;
+}
+
+TEST(ViewIndexProperty, RemoveAtomsAgreesWithScanAndFreshImage) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    View v;
+    int serial = 0;
+    for (int step = 0; step < 60; ++step) {
+      int adds = static_cast<int>(rng.Int(0, 25));
+      for (int i = 0; i < adds; ++i) v.Add(RandomAtom(&rng, serial++));
+      if (!v.empty() && rng.Chance(0.5)) {
+        // Dirty one predicate in place, as StDel's replacements do.
+        size_t i = static_cast<size_t>(
+            rng.Int(0, static_cast<int64_t>(v.size()) - 1));
+        ViewAtom& a = v.MutableAtom(i);
+        a.constraint.Add(
+            Primitive::Neq(a.args[0], Term::Const(Value(rng.Int(0, 30)))));
+      }
+      // Extract most of the time, so the next extraction shares against
+      // an image taken before the removal.
+      if (rng.Chance(0.7)) v.ExtractImage();
+
+      std::vector<size_t> holes = RandomHoles(&rng, v.size());
+      std::vector<std::string> before = AtomStrings(v);
+      std::vector<bool> dead(v.size(), false);
+      for (size_t h : holes) dead[h] = true;
+      std::map<std::string, int> expected;
+      for (size_t i = 0; i < before.size(); ++i) {
+        if (!dead[i]) expected[before[i]]++;
+      }
+
+      ASSERT_EQ(v.RemoveAtoms(holes), holes.size());
+      ASSERT_EQ(v.size(), before.size() - holes.size());
+      // The survivors are exactly the atoms not removed; an atom below the
+      // new size that was not a hole keeps its position.
+      std::map<std::string, int> got;
+      for (size_t i = 0; i < v.size(); ++i) {
+        got[v.atoms()[i].ToString()]++;
+        if (!dead[i]) {
+          EXPECT_EQ(v.atoms()[i].ToString(), before[i]);
+        }
+      }
+      EXPECT_EQ(got, expected);
+      // Equality with the ascending linear scans also pins every probed
+      // posting list as ascending.
+      CheckAgainstOracle(v, &rng);
+      CheckIndexTotals(v);
+      ExpectImageMatchesFreshView(v);
+    }
+  }
+}
+
+TEST(ViewIndexProperty, MassRemovalOfHalfALargeView) {
+  Rng rng(99);
+  View v;
+  constexpr size_t kAtoms = 50000;
+  for (size_t i = 0; i < kAtoms; ++i) {
+    v.Add(RandomAtom(&rng, static_cast<int>(i)));
+  }
+  v.ExtractImage();
+  // Half the view (a sweep), then every 40th survivor (per-entry patches
+  // at scale).
+  for (size_t stride : {size_t{0}, size_t{40}}) {
+    std::vector<size_t> holes;
+    for (size_t i = 0; i < v.size(); ++i) {
+      if (stride == 0 ? rng.Chance(0.5) : i % stride == 0) holes.push_back(i);
+    }
+    const size_t before = v.size();
+    ASSERT_EQ(v.RemoveAtoms(holes), holes.size());
+    EXPECT_EQ(v.size(), before - holes.size());
+    CheckAgainstOracle(v, &rng);  // equal to ascending scans
+    CheckIndexTotals(v);
+    ExpectImageMatchesFreshView(v);
+  }
+}
+
 TEST(ViewIndexProperty, RandomizedMutationsAgreeWithScan) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
@@ -200,7 +352,6 @@ TEST(ViewIndexProperty, RandomizedMutationsAgreeWithScan) {
           a.constraint.Add(Primitive::Neq(
               a.args[0], Term::Const(Value(rng.Int(0, 30)))));
         }
-        a.marked = rng.Chance(0.5);
       } else if (roll < 0.9) {
         // Remove a random subset by predicate or by falseness.
         if (rng.Chance(0.5)) {
@@ -221,6 +372,7 @@ TEST(ViewIndexProperty, RandomizedMutationsAgreeWithScan) {
       if (step % 20 == 0) CheckAgainstOracle(v, &rng);
     }
     CheckAgainstOracle(v, &rng);
+    CheckIndexTotals(v);
   }
 }
 
