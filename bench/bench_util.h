@@ -116,6 +116,8 @@ inline void ExportJoinCounters(benchmark::State& state,
       static_cast<double>(stats.ground_rejects);
   state.counters["rename_skipped"] =
       static_cast<double>(stats.rename_skipped);
+  // Hits of the run's solver memo: only an indexed run's sequential
+  // runner keeps one (constraint/solve_cache.h).
   state.counters["solver_cache_hits"] =
       static_cast<double>(stats.solver.cache_hits);
   state.counters["plan_reorders"] =

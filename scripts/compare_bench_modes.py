@@ -21,8 +21,8 @@ import sys
 # Strategy-dependent counters (probes, rejects, derivation attempts, plan
 # reorders/intersections/cache and memo hits, thread counts) are
 # deliberately excluded: the indexed join legitimately attempts fewer
-# derivations than the oracle, and the parallel engine memoizes solver
-# outcomes per task.
+# derivations than the oracle, and only the indexed engine's sequential
+# runner memoizes solver outcomes (the oracle and sharded pivots do not).
 # The deletion-side counters (replacements, step3, removed) are work
 # product too: StDel's parallel step-3 must replace exactly what the
 # sequential sweep replaces, and step 4 must remove exactly the same

@@ -164,12 +164,12 @@ void RenderCanonicalAtom(Symbol pred, const TermVec& args, const Constraint& c,
   if (first) *out += "true";
 }
 
-// Cheap in-order renderer for the solver memo key: appends straight into
+// Cheap in-order renderer for the solver's keys: appends straight into
 // the scratch buffer (no literal copies, no ostringstream) with variables
 // renamed by first appearance. The encoding is injective — distinct
-// constraints render distinctly (doubles print as raw bits, strings are
-// length-prefixed) — because two constraints colliding on one key would
-// share a cached satisfiability verdict.
+// constraints and domain calls render distinctly (doubles print as raw
+// bits, strings are length-prefixed, every value carries a kind tag) —
+// because two inputs colliding on one key would share a cached verdict.
 class KeyRenderer {
  public:
   explicit KeyRenderer(std::string* out) : out_(out) {}
@@ -183,6 +183,13 @@ class KeyRenderer {
       Append(b);
       out_->push_back('&');
     }
+  }
+
+  void AppendCall(const std::string& domain, const std::string& function,
+                  const std::vector<Value>& args) {
+    AppendRaw(domain);
+    AppendRaw(function);
+    for (const Value& v : args) Append(v);
   }
 
  private:
@@ -355,6 +362,12 @@ CanonicalKey CanonicalConstraintKey(const Constraint& c,
   KeyRenderer renderer(scratch);
   renderer.Append(c);
   return FingerprintOf(*scratch);
+}
+
+void AppendDomainCallKey(const std::string& domain,
+                         const std::string& function,
+                         const std::vector<Value>& args, std::string* out) {
+  KeyRenderer(out).AppendCall(domain, function, args);
 }
 
 std::string CanonicalAtomString(Symbol pred, const TermVec& args,

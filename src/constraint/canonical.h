@@ -6,19 +6,23 @@
 // differently (the paper notes p(X,Y) <- X = Y+1 vs p(X,Y) <- Y = X-1), in
 // which case they are simply retained as duplicates — still sound.
 //
-// Two consumers with different cost profiles share the machinery:
+// Three consumers with different cost profiles share the machinery:
 //   - set-semantics deduplication in the fixpoint engine keys atoms by a
-//     hashed CanonicalKey (no per-atom string is retained), and
-//   - the solver memo (constraint/solve_cache.h) keys bare constraints by
-//     a cheaper in-order rendering that skips literal sorting: constraints
-//     produced by the same clause at different fresh-variable offsets
-//     already agree literal-for-literal, which is the sharing that matters.
+//     hashed CanonicalKey (no per-atom string is retained);
+//   - the solver memo (constraint/solve_cache.h) of an indexed engine run
+//     and of a StDel pass keys bare constraints by a cheaper in-order
+//     rendering that skips literal sorting: constraints produced by the
+//     same clause at different fresh-variable offsets already agree
+//     literal-for-literal, which is the sharing that matters;
+//   - the solver's per-Solve map of domain-call results keys each ground
+//     call with the same injective value encoding (AppendDomainCallKey).
 
 #ifndef MMV_CONSTRAINT_CANONICAL_H_
 #define MMV_CONSTRAINT_CANONICAL_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/interner.h"
@@ -70,6 +74,13 @@ CanonicalKey CanonicalAtomKey(Symbol pred, const TermVec& args,
 /// numbering — the shape repeated join steps of one clause produce — map to
 /// the same key; literal-order variants do not (they simply miss the memo).
 CanonicalKey CanonicalConstraintKey(const Constraint& c, std::string* scratch);
+
+/// \brief Appends an injective key of the ground domain call
+/// domain:function(args) to \p out: distinct calls never share a key
+/// (doubles are keyed by their bits, strings are length-prefixed).
+void AppendDomainCallKey(const std::string& domain,
+                         const std::string& function,
+                         const std::vector<Value>& args, std::string* out);
 
 /// \brief Canonical string of the constrained atom pred(args) <- c.
 ///

@@ -2,40 +2,20 @@
 
 namespace mmv {
 
-const SolveOutcome* SolveCache::Lookup(const CanonicalKey& key) {
+SolveOutcome SolveCache::Solve(Solver* solver, const Constraint& c) {
+  if (c.is_true() || c.is_false()) return solver->Solve(c);
+  CanonicalKey key = CanonicalConstraintKey(c, &scratch_);
   auto it = map_.find(key);
-  if (it == map_.end()) {
-    stats_.misses++;
-    return nullptr;
+  if (it != map_.end()) {
+    hits_++;
+    return it->second;
   }
-  stats_.hits++;
-  return &it->second;
-}
-
-void SolveCache::Insert(const CanonicalKey& key, SolveOutcome outcome) {
-  if (map_.size() >= max_entries_) {
-    stats_.full++;
-    return;
+  SolveOutcome outcome = solver->Solve(c);
+  // Errors are evaluator failures, not properties of the constraint.
+  if (outcome != SolveOutcome::kError && map_.size() < kMaxEntries) {
+    map_.emplace(key, outcome);
   }
-  map_.emplace(key, outcome);
-}
-
-bool SolveCache::SyncEpoch(uint64_t source, int64_t epoch) {
-  if (has_epoch_ && source_ == source && epoch_ == epoch) return false;
-  // An untagged memo may hold outcomes from engine runs that never sync
-  // (Materialize / InsertBatch populate through FixpointOptions without
-  // epoch bookkeeping), possibly computed against an older external
-  // state. Drop those too: one spurious flush on first tagging is cheap;
-  // serving a stale outcome would be unsound.
-  bool flushed = !map_.empty();
-  if (flushed) {
-    map_.clear();
-    stats_.epoch_flushes++;
-  }
-  has_epoch_ = true;
-  source_ = source;
-  epoch_ = epoch;
-  return flushed;
+  return outcome;
 }
 
 }  // namespace mmv

@@ -1,34 +1,13 @@
 #include "constraint/solver.h"
 
 #include "constraint/canonical.h"
-#include "constraint/solve_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <sstream>
 
 namespace mmv {
-
-namespace {
-uint64_t NextEvaluatorId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace
-
-DcaEvaluator::DcaEvaluator() : instance_id_(NextEvaluatorId()) {}
-
-DcaEvaluator::DcaEvaluator(const DcaEvaluator& other)
-    : instance_id_(NextEvaluatorId()) {
-  (void)other;
-}
-
-DcaEvaluator& DcaEvaluator::operator=(const DcaEvaluator& other) {
-  if (this != &other) instance_id_ = NextEvaluatorId();
-  return *this;
-}
 
 bool Interval::Empty() const {
   if (lo > hi) return true;
@@ -433,7 +412,8 @@ class ConjunctionState {
       if (!d.is_value) return ProcessResult::kRetry;
       args.push_back(std::move(d.value));
     }
-    std::string key = MakeCacheKey(p.call, args);
+    std::string key;
+    AppendDomainCallKey(p.call.domain, p.call.function, args, &key);
     DcaResult res;
     auto it = dca_cache_->find(key);
     if (it != dca_cache_->end()) {
@@ -497,18 +477,6 @@ class ConjunctionState {
       c.co_intervals.push_back(res.interval);
     }
     return ProcessResult::kResolved;
-  }
-
-  static std::string MakeCacheKey(const DomainCall& call,
-                                  const std::vector<Value>& args) {
-    std::string key = call.domain;
-    key += ':';
-    key += call.function;
-    for (const Value& v : args) {
-      key += '|';
-      key += v.ToString();
-    }
-    return key;
   }
 
   // Promotes singleton candidate sets to bindings, enabling further DCA
@@ -687,19 +655,6 @@ SolveOutcome Solver::Solve(const Constraint& c) {
   stats_.solve_calls++;
   if (c.is_false()) return SolveOutcome::kUnsat;
   if (c.is_true()) return SolveOutcome::kSat;
-  if (options_.cache == nullptr) return SolveUncached(c);
-  CanonicalKey key = CanonicalConstraintKey(c, options_.cache->scratch());
-  if (const SolveOutcome* hit = options_.cache->Lookup(key)) {
-    stats_.cache_hits++;
-    return *hit;
-  }
-  SolveOutcome outcome = SolveUncached(c);
-  // Errors are evaluator failures, not properties of the constraint.
-  if (outcome != SolveOutcome::kError) options_.cache->Insert(key, outcome);
-  return outcome;
-}
-
-SolveOutcome Solver::SolveUncached(const Constraint& c) {
   std::unordered_map<std::string, DcaResult> cache;
   int64_t budget = options_.max_choice_branches;
 

@@ -100,44 +100,30 @@ struct DcaResult {
 /// bound values (all ground).
 class DcaEvaluator {
  public:
-  DcaEvaluator();
-  /// Copies get a FRESH identity: a copied evaluator is a distinct state
-  /// source as far as epoch-gated memos are concerned (mirrors Program).
-  DcaEvaluator(const DcaEvaluator& other);
-  DcaEvaluator& operator=(const DcaEvaluator& other);
   virtual ~DcaEvaluator() = default;
   virtual Result<DcaResult> Evaluate(const std::string& domain,
                                      const std::string& function,
                                      const std::vector<Value>& args) = 0;
 
-  /// \brief Process-unique identity of this evaluator instance. Epoch
-  /// values (StateEpoch) are only comparable BETWEEN calls on one
-  /// evaluator; memo gates pair the epoch with this id so two different
-  /// evaluators that happen to report the same epoch value are never
-  /// confused (see SolveCache::SyncEpoch).
-  uint64_t instance_id() const { return instance_id_; }
-
   /// \brief Tag of the external state Evaluate() reads: two calls at the
-  /// same epoch see the same function meanings, so solver memos
-  /// (SolveCache::SyncEpoch) stay valid while the epoch stands still.
-  /// Epochs are opaque — compare them only for equality; they are not
-  /// monotone (pinning evaluation to a historical tick legitimately moves
-  /// the epoch backward). Stateless evaluators keep the default constant
-  /// epoch; DomainManager reports its effective tick combined with the
-  /// clock's same-tick mutation counter.
+  /// same epoch see the same function meanings. plan::RunShards captures
+  /// it before a parallel fan-out and re-checks it after, so a writer
+  /// slipping in mid-fan-out fails the pass loudly. Epochs are opaque —
+  /// compare them only for equality; they are not monotone (pinning
+  /// evaluation to a historical tick legitimately moves the epoch
+  /// backward). Stateless evaluators keep the default constant epoch;
+  /// DomainManager reports its effective tick combined with the clock's
+  /// same-tick mutation counter.
   virtual int64_t StateEpoch() const { return 0; }
 
   /// \brief True when concurrent Evaluate() calls are safe WITHOUT
   /// external serialization, provided no writer mutates the backing state
-  /// for the duration (the same single-writer contract StateEpoch already
-  /// polices: parallel passes capture the epoch up front and fail loudly
-  /// on a mismatch). Defaults to false — engines run sequentially over
+  /// for the duration (the single-writer contract StateEpoch polices:
+  /// parallel passes capture the epoch up front and fail loudly on a
+  /// mismatch). Defaults to false — engines run sequentially over
   /// evaluators that do not opt in; DomainManager reports true when every
-  /// registered domain is a pure reader and its call cache is off.
+  /// registered domain is a pure reader.
   virtual bool ConcurrentReadSafe() const { return false; }
-
- private:
-  uint64_t instance_id_;
 };
 
 /// \brief Outcome of a satisfiability check.
@@ -159,7 +145,10 @@ struct SolveStats {
   int64_t dca_evaluations = 0;
   int64_t choice_branches = 0;
   int64_t literals_processed = 0;
-  int64_t cache_hits = 0;  ///< Solve calls answered by the SolveCache memo
+  /// Solves answered by a SolveCache instead of the solver. The memo's
+  /// owner (an indexed engine run, a StDel pass) fills it in; a hit never
+  /// reaches Solve, so solve_calls leaves it out.
+  int64_t cache_hits = 0;
 
   SolveStats& operator+=(const SolveStats& other) {
     solve_calls += other.solve_calls;
@@ -182,8 +171,6 @@ struct VarDomainInfo {
   bool touched_by_deferred = false;      ///< a deferred literal mentions it
 };
 
-class SolveCache;
-
 /// \brief Tuning knobs for the solver.
 struct SolverOptions {
   /// Upper bound on choice combinations (not-blocks plus candidate splits)
@@ -195,11 +182,6 @@ struct SolverOptions {
   /// (complete search; the honest cost of T_P solvability checks over
   /// chained domain calls).
   bool split_candidates = true;
-  /// Optional memo of outcomes keyed by canonical constraint form
-  /// (constraint/solve_cache.h). Not owned. The caller guarantees the
-  /// evaluator state and solver options stay fixed for the cache lifetime;
-  /// every Solver sharing one cache must use identical options.
-  SolveCache* cache = nullptr;
 };
 
 /// \brief Satisfiability engine for constraints.
@@ -211,8 +193,8 @@ class Solver {
   explicit Solver(DcaEvaluator* evaluator, SolverOptions options = {})
       : evaluator_(evaluator), options_(options) {}
 
-  /// \brief Decides satisfiability of \p c. When options.cache is set, a
-  /// canonical-form memo answers repeated shapes without re-solving.
+  /// \brief Decides satisfiability of \p c. Ground domain calls are
+  /// evaluated once per Solve, whatever the number of case splits.
   SolveOutcome Solve(const Constraint& c);
 
   /// \brief Propagates the positive primitives of \p c and reports the
@@ -228,7 +210,6 @@ class Solver {
 
  private:
   friend class ConjunctionState;
-  SolveOutcome SolveUncached(const Constraint& c);
   SolveOutcome SolveConjunctionWithSplits(
       std::vector<Primitive>* prims, int64_t* budget,
       std::unordered_map<std::string, DcaResult>* cache);

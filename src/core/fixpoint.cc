@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "constraint/canonical.h"
 #include "constraint/simplify.h"
+#include "constraint/solve_cache.h"
 #include "plan/partition.h"
 #include "plan/plan_cache.h"
 
@@ -50,11 +49,19 @@ class DeriveSink {
 // Reads only view indexes and atoms below the round's delta_end; within a
 // round those are frozen (appends land at indices >= delta_end), which is
 // what makes concurrent shards against one view sound.
+//
+// \p memo, when set, answers the T_P solvability check for canonically
+// repeated constraints. Only the indexed engine's own runner has one;
+// the naive oracle and the shards solve every derivation.
 class ClauseRunner {
  public:
   ClauseRunner(const View& view, const FixpointOptions& options,
-               Solver* solver, VarFactory* factory)
-      : view_(view), options_(options), solver_(solver), factory_(factory) {}
+               Solver* solver, SolveCache* memo, VarFactory* factory)
+      : view_(view),
+        options_(options),
+        solver_(solver),
+        memo_(memo),
+        factory_(factory) {}
 
   /// \brief Points the runner's output at \p stats / \p sink (once, at
   /// construction of the engine or of a shard).
@@ -227,7 +234,8 @@ class ClauseRunner {
       return Status::OK();
     }
     if (options_.op == OperatorKind::kTp && !constraint.is_false()) {
-      SolveOutcome o = solver_->Solve(constraint);
+      SolveOutcome o = memo_ != nullptr ? memo_->Solve(solver_, constraint)
+                                        : solver_->Solve(constraint);
       if (o == SolveOutcome::kError) return solver_->last_status();
       if (o == SolveOutcome::kUnsat) {
         stats_->unsat_pruned++;
@@ -532,6 +540,7 @@ class ClauseRunner {
   const View& view_;
   const FixpointOptions& options_;
   Solver* solver_;
+  SolveCache* memo_;
   VarFactory* factory_;
   FixpointStats* stats_ = nullptr;
   DeriveSink* sink_ = nullptr;
@@ -620,14 +629,18 @@ class StagingSink : public DeriveSink {
 // (plan/partition.h) is the one thing that fans out (every execution order
 // starts at its pivot, so depth 0 is a plain candidate sequence):
 // its depth-0 candidates are materialized once and split into contiguous
-// shards, each run on the pool with a private staging sink, solver memo
-// and fresh-var factory against the read-only view (every window reads
-// only below delta_end). The shards merge in shard order, then
+// shards, each run on the pool with a private staging sink, memo-free
+// solver and fresh-var factory against the read-only view (every window
+// reads only below delta_end). The shards merge in shard order, then
 // enumeration order, before the next pivot runs — exactly the sequential
 // append order — doing dedup and counters on the engine thread. Hence
 // canonical atom sets, support multisets and derivation counters are
 // identical to the sequential engine's; only fresh-variable numbering and
 // solver-memo hit counts are scheduling-free but not sequential-identical.
+//
+// An indexed run owns one solver memo (memo_), valid for the run because
+// the evaluator state is fixed while it lasts. Only the sequential runner
+// consults it: sharded pivots never hit it on any measured workload.
 class Engine {
  public:
   Engine(const Program& program, DcaEvaluator* evaluator,
@@ -636,7 +649,7 @@ class Engine {
         evaluator_(evaluator),
         options_(options),
         stats_(stats),
-        solver_(evaluator, SolverOptionsFor(options, &local_cache_)),
+        solver_(evaluator, options.solver),
         factory_(program.factory()),
         // Early ground rejection is behavior-preserving only when the
         // engine provably drops statically contradictory joins: simplify
@@ -656,7 +669,8 @@ class Engine {
                                              : &local_plans_),
         plan_stats_start_(plans_->stats()),
         direct_sink_(this),
-        runner_(view_, options_, &solver_, &factory_) {
+        runner_(view_, options_, &solver_, indexed_ ? &memo_ : nullptr,
+                &factory_) {
     runner_.Bind(stats_, &direct_sink_);
   }
 
@@ -710,15 +724,6 @@ class Engine {
   }
 
  private:
-  static SolverOptions SolverOptionsFor(const FixpointOptions& o,
-                                        SolveCache* local) {
-    SolverOptions s = o.solver;
-    if (o.join_mode == JoinMode::kIndexed && s.cache == nullptr) {
-      s.cache = o.solve_cache != nullptr ? o.solve_cache : local;
-    }
-    return s;
-  }
-
   // Sequential sink: dedup + append to the live view.
   class DirectSink : public DeriveSink {
    public:
@@ -744,6 +749,7 @@ class Engine {
 
   View Finish() {
     stats_->solver = solver_.stats();
+    stats_->solver.cache_hits = memo_.hits();
     stats_->solver += shard_solver_;
     // Attribute this run's share of the (possibly shared) plan cache's
     // activity: the counters are monotone, so the delta since construction
@@ -799,18 +805,6 @@ class Engine {
     return parts;
   }
 
-  // The persistent solver memo of one (clause, pivot, shard), reused
-  // across ALL rounds of the run (the evaluator state is fixed for the
-  // run — the memo's validity contract): hit counts stay
-  // scheduling-independent because each cache belongs to a shard key, not
-  // a thread.
-  SolveCache* ShardCache(int clause, size_t pivot, int shard) {
-    std::unique_ptr<SolveCache>& slot =
-        shard_caches_[std::make_tuple(clause, pivot, shard)];
-    if (slot == nullptr) slot = std::make_unique<SolveCache>();
-    return slot.get();
-  }
-
   // Runs one pivot's materialized depth-0 candidates as \p parts pool
   // shards, then merges them in shard order. The depth-0 probe counters
   // are counted once, by the materialization on the engine thread.
@@ -824,27 +818,18 @@ class Engine {
                                        delta_begin, delta_end, &candidates);
     stats_->partitions_run += parts;
     if (evaluator_ != nullptr) stats_->evaluator_clones += parts;
-    // Per-shard solver memos (see ShardCache), created here on the engine
-    // thread. Never share a memo across threads — even a caller-provided
-    // one (options.solver.cache / options.solve_cache) is swapped out;
-    // SolveCache is not synchronized.
-    std::vector<SolveCache*> caches(static_cast<size_t>(parts));
-    for (int shard = 0; shard < parts; ++shard) {
-      caches[shard] = ShardCache(c.number, pivot, shard);
-    }
     std::vector<ShardOutcome> outcomes(static_cast<size_t>(parts));
     size_t frozen = view_.size();
     MMV_RETURN_NOT_OK(plan::RunShards(
         candidates.size(), parts, options_.num_threads, evaluator_,
         "fixpoint pivot", [&](int shard, size_t begin, size_t end) {
           ShardOutcome& out = outcomes[shard];
-          SolverOptions solver_options = options_.solver;
-          solver_options.cache = caches[shard];
-          Solver solver(evaluator_, solver_options);
+          Solver solver(evaluator_, options_.solver);
           VarFactory factory;
           factory.ReserveAbove(kStagingVarBase);
           StagingSink sink(options_, frozen, &out.atoms);
-          ClauseRunner runner(view_, options_, &solver, &factory);
+          ClauseRunner runner(view_, options_, &solver, /*memo=*/nullptr,
+                              &factory);
           runner.Bind(&out.stats, &sink);
           out.status = runner.RunShard(c, plan, lists, cut, pivot, candidates,
                                        begin, end, delta_begin, delta_end,
@@ -936,8 +921,8 @@ class Engine {
   DcaEvaluator* evaluator_;
   FixpointOptions options_;
   FixpointStats* stats_;
-  SolveCache local_cache_;  // used when kIndexed and no caller-shared cache
   Solver solver_;
+  SolveCache memo_;  // the sequential runner's, for this run (kIndexed)
   VarFactory factory_;
   const bool indexed_;
   const bool parallel_;
@@ -952,9 +937,6 @@ class Engine {
   std::unordered_set<CanonicalKey, CanonicalKey::Hasher> canonical_seen_;
   std::string canonical_scratch_;
 
-  // Sharded-pivot state.
-  std::map<std::tuple<int, size_t, int>, std::unique_ptr<SolveCache>>
-      shard_caches_;  // per (clause number, pivot, shard), whole run
   SolveStats shard_solver_;  // shards' solver counters, merge order
 };
 

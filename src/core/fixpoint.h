@@ -25,7 +25,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "constraint/solve_cache.h"
 #include "constraint/solver.h"
 #include "core/program.h"
 #include "core/view.h"
@@ -64,7 +63,8 @@ enum class JoinMode : uint8_t {
   /// through the join so ground mismatches reject candidates at position k
   /// before positions k+1..n are enumerated, hoist the seminaive window
   /// computation out of the recursion, skip the clause rename entirely for
-  /// fully-ground joins, and memoize solver outcomes by canonical form.
+  /// fully-ground joins, and memoize the sequential runner's solver
+  /// outcomes by canonical form for the run (constraint/solve_cache.h).
   ///
   /// Derives the same atom set as kNaive (modulo fresh-variable numbering).
   /// The engine silently falls back to kNaive when early rejection would
@@ -103,13 +103,13 @@ struct FixpointOptions {
   /// each clause's seminaive pivots one after another; a pivot fans out
   /// only when its frozen delta window is large enough to split
   /// (plan/partition.h) — then its depth-0 candidates run as up to N
-  /// contiguous shards, each with a private staging sink, solver memo and
-  /// fresh-var factory against the read-only view, merged in (shard,
-  /// enumeration) order before the next pivot runs. That is exactly the
-  /// sequential append order, so canonical atom sets, support multisets
-  /// and the derivation counters are identical to num_threads=1 whatever
-  /// the thread count. (Fresh-variable NUMBERING and solver-memo hit
-  /// counts may differ — the same non-contract as between join modes.
+  /// contiguous shards, each with a private staging sink, memo-free
+  /// solver and fresh-var factory against the read-only view, merged in
+  /// (shard, enumeration) order before the next pivot runs. That is
+  /// exactly the sequential append order, so canonical atom sets, support
+  /// multisets and the derivation counters are identical to num_threads=1
+  /// whatever the thread count. (Fresh-variable NUMBERING and solver-memo
+  /// hit counts may differ — the same non-contract as between join modes.
   /// Truncated runs — max_atoms / max_iterations — may cut off at
   /// different atoms.)
   /// Parallel execution requires the kIndexed planned executor and an
@@ -125,12 +125,6 @@ struct FixpointOptions {
   /// result — not even kSet supports. When null, the engine plans within
   /// the single run.
   plan::PlanCache* plan_cache = nullptr;
-  /// Optional solver memo shared across engine runs (kIndexed only). Pass
-  /// one cache through a sequence of ContinueFixpoint continuations so
-  /// constraints re-solved across flushes hit the memo; the caller must
-  /// keep it scoped to one external-database state (see solve_cache.h).
-  /// When null, the engine memoizes within the single run.
-  SolveCache* solve_cache = nullptr;
   /// Solver configuration for T_P solvability checks.
   SolverOptions solver;
 };
@@ -164,7 +158,8 @@ struct FixpointStats {
                                   ///  concurrent-read evaluator
   bool truncated = false;         ///< hit max_iterations / max_atoms
   SolveStats solver;              ///< aggregated solver counters
-                                  ///  (solver.cache_hits: memo hits)
+                                  ///  (solver.cache_hits: hits of the
+                                  ///  run's memo, sequential runner only)
 };
 
 /// \brief Computes T_P^w(initial) (or W_P^w) over \p program.

@@ -32,8 +32,8 @@ class Program {
   /// \brief Adds \p clause, assigning and returning its clause number.
   int AddClause(Clause clause);
 
-  /// \brief Process-unique identity of this clause set. Plan and memo
-  /// caches tag their entries with it so a cache handed a different (or
+  /// \brief Process-unique identity of this clause set. Plan caches tag
+  /// their entries with it so a cache handed a different (or
   /// recycled-at-the-same-address) program flushes instead of serving
   /// stale state. Appending clauses does not change the identity — clause
   /// numbers are stable, so existing per-clause cache entries stay valid.

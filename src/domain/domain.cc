@@ -32,30 +32,9 @@ Result<DcaResult> DomainManager::EvaluateAt(const std::string& domain,
                                             const std::string& function,
                                             const std::vector<Value>& args,
                                             int64_t tick) {
-  // Historical snapshots are immutable; the current tick may still mutate.
-  const bool cacheable = cache_enabled_ && tick < clock_->now();
-  std::string key;
-  if (cacheable) {
-    key = domain;
-    key += ':';
-    key += function;
-    key += '@';
-    key += std::to_string(tick);
-    for (const Value& v : args) {
-      key += '|';
-      key += v.ToString();
-    }
-    auto it = call_cache_.find(key);
-    if (it != call_cache_.end()) {
-      cache_hits_++;
-      return it->second;
-    }
-  }
   MMV_ASSIGN_OR_RETURN(Domain * d, Get(domain));
   call_count_.fetch_add(1, std::memory_order_relaxed);
-  MMV_ASSIGN_OR_RETURN(DcaResult result, d->CallAt(function, args, tick));
-  if (cacheable) call_cache_[key] = result;
-  return result;
+  return d->CallAt(function, args, tick);
 }
 
 Result<FunctionDelta> DomainManager::Delta(const std::string& domain,

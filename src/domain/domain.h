@@ -58,7 +58,7 @@ class Domain {
   /// \brief Count of domain-LOCAL state mutations: writes that change
   /// Call() results but go through neither the catalog nor the clock
   /// (e.g. SpatialDomain::AddAddress). DomainManager::StateEpoch folds
-  /// these in so epoch-gated memos observe them.
+  /// these in so the epoch check around a parallel fan-out observes them.
   int64_t local_mutations() const { return local_mutations_; }
 
  protected:
@@ -119,12 +119,13 @@ class DomainManager : public DcaEvaluator {
   /// without advancing the clock, and (b) domain-internal state the
   /// catalog never sees (Domain::NoteLocalMutation) — live evaluations
   /// change while now() stands still either way. Folding the counters in
-  /// is conservatively sound: a live write spuriously flushes memos of
-  /// pinned-historical state (which that write cannot touch), but a
-  /// stale-serving epoch would be unsound. The packing (done in uint64_t
-  /// — no signed-shift UB) is injective while the summed mutation count
-  /// and the tick stay below 2^32, and compared only for equality (see
-  /// DcaEvaluator::StateEpoch: pinning moves it backward).
+  /// is conservatively sound: a live write spuriously fails a parallel
+  /// pass over pinned-historical state (which that write cannot touch),
+  /// but an epoch that missed a write would let a torn fan-out pass. The
+  /// packing (done in uint64_t — no signed-shift UB) is injective while
+  /// the summed mutation count and the tick stay below 2^32, and compared
+  /// only for equality (see DcaEvaluator::StateEpoch: pinning moves it
+  /// backward).
   int64_t StateEpoch() const override {
     int64_t mutations = clock_->mutations();
     for (const auto& [name, domain] : domains_) {
@@ -151,35 +152,18 @@ class DomainManager : public DcaEvaluator {
   void ResetCallCount() { call_count_.store(0, std::memory_order_relaxed); }
 
   /// \brief DcaEvaluator hook: concurrent evaluation is safe exactly when
-  /// every registered domain's evaluation path is a pure read AND the call
-  /// cache is off (EvaluateAt fills call_cache_ when enabled — a write).
-  /// The call counter is atomic, so it is not a disqualifier. Parallel
-  /// passes fan out only when this returns true, evaluating through this
-  /// manager directly under the single-writer epoch contract (StateEpoch
-  /// captured before the fan-out, re-checked after, loud failure on
-  /// mismatch); otherwise they run sequentially.
+  /// every registered domain's evaluation path is a pure read. The call
+  /// counter is atomic, so it is not a disqualifier. Parallel passes fan
+  /// out only when this returns true, evaluating through this manager
+  /// directly under the single-writer epoch contract (plan::RunShards
+  /// captures StateEpoch before the fan-out and re-checks it after, failing
+  /// loudly on a mismatch); otherwise they run sequentially.
   bool ConcurrentReadSafe() const override {
-    if (cache_enabled_) return false;
     for (const auto& [name, domain] : domains_) {
       if (!domain->ConcurrentCallSafe()) return false;
     }
     return true;
   }
-
-  /// \brief Enables memoization of *historical* evaluations (tick strictly
-  /// before the clock's now — those snapshots are immutable, so the cache
-  /// never goes stale; current-tick calls are always evaluated live).
-  ///
-  /// This realizes the paper's Section 5 remark that materializing the
-  /// external function calls (Kemper/Kilger/Moerkotte-style function
-  /// materialization) complements the view-level machinery.
-  void EnableCallCache(bool enabled) {
-    cache_enabled_ = enabled;
-    if (!enabled) call_cache_.clear();
-  }
-
-  /// \brief Number of cache hits served (for benchmarks).
-  int64_t cache_hits() const { return cache_hits_; }
 
  private:
   rel::Clock* clock_;
@@ -188,9 +172,6 @@ class DomainManager : public DcaEvaluator {
   // Atomic so the ConcurrentReadSafe() fast path can count calls from
   // worker threads; relaxed ordering is enough for a statistics counter.
   std::atomic<int64_t> call_count_{0};
-  bool cache_enabled_ = false;
-  int64_t cache_hits_ = 0;
-  std::unordered_map<std::string, DcaResult> call_cache_;
 };
 
 }  // namespace dom

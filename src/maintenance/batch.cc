@@ -159,24 +159,6 @@ Status ApplyBatch(const Program& program, View* view,
   if (batch_options.plan_cache == nullptr) {
     batch_options.plan_cache = &batch_plans;
   }
-  // Epoch-gate a caller-shared solver memo: the memo survives from batch
-  // to batch — view maintenance never changes what Solve sees — and is
-  // flushed here exactly when the external state moved underneath it: a
-  // different evaluator instance, or the same evaluator at a different
-  // state epoch (its clock's effective tick + same-tick mutation count).
-  if (batch_options.solve_cache != nullptr) {
-    bool flushed = batch_options.solve_cache->SyncEpoch(
-        evaluator != nullptr ? evaluator->instance_id() : 0,
-        evaluator != nullptr ? evaluator->StateEpoch() : 0);
-    if (flushed) stats->solve_epoch_flushes++;
-  }
-  // Delete passes share the same memo (step-3 lifts and the step-4 prune
-  // re-solve canonically identical constraints across runs of one burst).
-  SolverOptions delete_solver = batch_options.solver;
-  if (delete_solver.cache == nullptr &&
-      batch_options.solve_cache != nullptr) {
-    delete_solver.cache = batch_options.solve_cache;
-  }
 
   // Execute maximal same-kind runs: one multi-atom StDel pass per delete
   // run, one Add pass + seminaive continuation per insert run.
@@ -192,7 +174,7 @@ Status ApplyBatch(const Program& program, View* view,
       if (plan.ops[i].kind == Update::Kind::kDelete) {
         StDelStats s;
         MMV_RETURN_NOT_OK(DeleteStDelBatch(program, view, requests, evaluator,
-                                           delete_solver, &s,
+                                           batch_options.solver, &s,
                                            batch_options.plan_cache,
                                            batch_options.num_threads));
         stats->delete_passes++;
@@ -274,7 +256,6 @@ BatchStats& BatchStats::operator+=(const BatchStats& other) {
   plan_reorders += other.plan_reorders;
   probe_intersections += other.probe_intersections;
   plan_cache_hits += other.plan_cache_hits;
-  solve_epoch_flushes += other.solve_epoch_flushes;
   epochs_published += other.epochs_published;
   snapshot_nodes_shared += other.snapshot_nodes_shared;
   snapshot_nodes_copied += other.snapshot_nodes_copied;

@@ -130,12 +130,10 @@ struct BatchStats {
   // Insertion phase.
   size_t add_atoms = 0;             ///< externals appended by Add passes
   size_t insertion_pass_atoms = 0;  ///< externals + derived consequences
-  // Plan / memo layer.
+  // Plan layer.
   int64_t plan_reorders = 0;        ///< clause-plan compiles that reordered
   int64_t probe_intersections = 0;  ///< multi-position probes taken
   int64_t plan_cache_hits = 0;      ///< plans served without compiling
-  int64_t solve_epoch_flushes = 0;  ///< caller solver memo flushed because
-                                    ///  the external database's epoch moved
   // Snapshot layer.
   int64_t epochs_published = 0;     ///< view epochs published to the
                                     ///  snapshot store (1 per successful
@@ -170,6 +168,7 @@ struct BatchStats {
   int64_t sat_rejects = 0;
   int64_t reject_cache_hits = 0;
   int64_t mutex_evaluator_engaged = 0;
+  int64_t solve_epoch_flushes = 0;
 
   /// Field-wise sum — recovery accumulates one BatchStats per replayed
   /// burst into RecoveryInfo::replay_stats with this.
@@ -190,17 +189,12 @@ struct BatchStats {
 /// smallest clause number found anywhere in the view's support trees
 /// (external leaves included), so supports stay collision-free.
 ///
-/// Cross-batch memos: a SolveCache passed through
-/// \p options.solve_cache survives from batch to batch — ApplyBatch tags
-/// it with the evaluator's catalog epoch (DcaEvaluator::StateEpoch: the
-/// effective tick folded with the clock's same-tick mutation counter) and
-/// flushes it only when the external database actually changed (plus once
-/// at first tagging if the memo already holds pre-tag entries), the
-/// read-mostly mediator's big win. A plan::PlanCache passed through
-/// \p options.plan_cache likewise carries compiled clause plans across
-/// batches (it revalidates against the program identity by itself); when
-/// absent, one batch-local instance spans this batch's delete and insert
-/// passes.
+/// Cross-batch plans: a plan::PlanCache passed through
+/// \p options.plan_cache carries compiled clause plans across batches (it
+/// revalidates against the program identity by itself); when absent, one
+/// batch-local instance spans this batch's delete and insert passes. No
+/// solver memo outlives a pass: each indexed engine run and each StDel
+/// pass memoizes for itself (constraint/solve_cache.h).
 ///
 /// Snapshot publication: when \p snapshots is non-null, ONE new view epoch
 /// is published there after the whole burst applied cleanly (the epoch

@@ -57,29 +57,14 @@ Status InsertBatch(const Program& program, View* view,
   if (!stats) stats = &local;
   *stats = InsertStats();
 
-  // One solver memo for the whole batch: the BuildAdd diffing solver and
-  // every seminaive continuation below share it, so constraints re-solved
-  // across flushes (and across requests) hit the memo. The external
-  // database is fixed for the duration of the batch, which is exactly the
-  // cache's validity contract.
-  SolveCache batch_cache;
-  FixpointOptions fix_options = options;
-  SolverOptions solver_options = options.solver;
-  if (options.join_mode == JoinMode::kIndexed) {
-    if (fix_options.solve_cache == nullptr) {
-      fix_options.solve_cache = &batch_cache;
-    }
-    if (solver_options.cache == nullptr) {
-      solver_options.cache = fix_options.solve_cache;
-    }
-  }
   // One plan cache for the whole batch: every flushed continuation below
   // reuses the clause plans compiled by the first, instead of recompiling
   // per flush. A caller-provided cache (e.g. ApplyBatch's batch-wide one)
   // takes precedence and carries the plans across insert runs too.
+  FixpointOptions fix_options = options;
   plan::PlanCache batch_plans;
   if (fix_options.plan_cache == nullptr) fix_options.plan_cache = &batch_plans;
-  Solver solver(evaluator, solver_options);
+  Solver solver(evaluator, options.solver);
 
   // Build the Add set incrementally: each request is diffed against the
   // view INCLUDING the externals appended for earlier requests, so a

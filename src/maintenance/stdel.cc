@@ -128,14 +128,11 @@ Status DeleteStDelBatch(const Program& program, View* view,
   plan::PlanCache local_plans;
   if (plans == nullptr) plans = &local_plans;
   const int64_t plan_hits_start = plans->stats().cache_hits;
-  // One solver memo per batch: step-3 lifts and the step-4 prune re-solve
-  // many canonically identical constraints (untouched siblings, repeated
-  // subtraction shapes), and the external database is fixed for the
-  // duration of the batch — the cache's validity contract.
-  SolveCache batch_cache;
-  SolverOptions cached_options = solver_options;
-  if (cached_options.cache == nullptr) cached_options.cache = &batch_cache;
-  Solver solver(evaluator, cached_options);
+  Solver solver(evaluator, solver_options);
+  // The sequential condition-(c) check memoizes for this pass: lifts
+  // through the same clause repeat canonically identical constraints, and
+  // the evaluator state is fixed while the pass runs.
+  SolveCache lift_memo;
   VarFactory factory = FreshFactory(program, *view, requests);
 
   // Step 1 of the paper marks every atom of M as a step-3 candidate; no
@@ -281,10 +278,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
                 continue;
               }
               if (lifted.is_false()) continue;
-              SolverOptions item_options = cached_options;
-              item_options.cache = nullptr;  // never share a memo across
-                                             // threads (not synchronized)
-              Solver item_solver(evaluator, item_options);
+              Solver item_solver(evaluator, solver_options);
               SolveOutcome o = item_solver.Solve(lifted);  // condition (c)
               out.solver = item_solver.stats();
               if (o == SolveOutcome::kError) {
@@ -335,7 +329,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
         continue;
       }
       if (lifted.is_false()) continue;
-      SolveOutcome o = solver.Solve(lifted);  // condition (c)
+      SolveOutcome o = lift_memo.Solve(&solver, lifted);  // condition (c)
       if (o == SolveOutcome::kError) return solver.last_status();
       if (!IsSolvable(o)) continue;
 
@@ -375,6 +369,7 @@ Status DeleteStDelBatch(const Program& program, View* view,
   view->NoteExternalVars(factory.issued());
   stats->plan_cache_hits = plans->stats().cache_hits - plan_hits_start;
   stats->solver = solver.stats();
+  stats->solver.cache_hits = lift_memo.hits();
   stats->solver += parallel_solver;
   return Status::OK();
 }

@@ -91,7 +91,8 @@ Status DeleteStDel(const Program& program, View* view,
 /// order the single-threaded sweep uses. Propagation order, replacement
 /// counts and the resulting instance sets are identical to num_threads=1;
 /// only fresh-variable numbering inside surviving constraints (canonical
-/// forms unchanged) and solver-memo hit counts differ. An evaluator that
+/// forms unchanged) and solver-memo hit counts differ (only the
+/// sequential sweep memoizes its condition-(c) checks). An evaluator that
 /// does not report ConcurrentReadSafe() runs the sequential sweep.
 Status DeleteStDelBatch(const Program& program, View* view,
                         const std::vector<UpdateAtom>& requests,

@@ -1,5 +1,5 @@
 // Cross-feature integration tests: serialization x maintenance x external
-// updates x call cache, combined the way a long-lived deployment would.
+// updates, combined the way a long-lived deployment would.
 
 #include <gtest/gtest.h>
 
@@ -83,26 +83,6 @@ TEST(IntegrationTest, BatchAfterReloadMatchesBatchBeforeSerialize) {
 
   EXPECT_EQ(Instances(direct, w.domains.get()),
             Instances(reloaded, w.domains.get()));
-}
-
-TEST(IntegrationTest, CallCacheSpeedsHistoricalQueriesWithoutChangingThem) {
-  TestWorld w = TestWorld::Make();
-  ASSERT_TRUE(w.catalog->CreateTable(rel::Schema{"t", {"k"}}).ok());
-  ASSERT_TRUE(w.catalog->Insert("t", {Value(1)}).ok());
-  w.catalog->clock().Advance();
-  ASSERT_TRUE(w.catalog->Insert("t", {Value(2)}).ok());
-
-  auto eval_at = [&](int64_t tick) {
-    auto r = w.domains->EvaluateAt("rel", "scan", {Value("t")}, tick);
-    return r.ok() ? r->values.size() : size_t{999};
-  };
-
-  w.domains->EnableCallCache(true);
-  EXPECT_EQ(eval_at(0), 1u);
-  EXPECT_EQ(eval_at(0), 1u);  // cache hit
-  EXPECT_GE(w.domains->cache_hits(), 1);
-  w.domains->EnableCallCache(false);
-  EXPECT_EQ(eval_at(0), 1u);  // identical answer uncached
 }
 
 TEST(IntegrationTest, MaintainedViewSurvivesManyRounds) {

@@ -36,6 +36,9 @@ class FakeEvaluator : public DcaEvaluator {
     if (function == "double_of") {
       return DcaResult::Finite({Value(args.at(0).numeric() * 2)});
     }
+    if (function == "arity") {
+      return DcaResult::Finite({Value(static_cast<int64_t>(args.size()))});
+    }
     return Status::NotFound("no function " + function);
   }
   int calls = 0;
@@ -302,6 +305,32 @@ TEST_F(SolverTest, StatsAccumulate) {
   Solve(c);
   EXPECT_EQ(solver_.stats().solve_calls, 1);
   EXPECT_GE(solver_.stats().dca_evaluations, 1);
+}
+
+// The per-Solve map of domain-call results must key calls injectively:
+// two calls whose arguments print alike are still two calls.
+TEST_F(SolverTest, DcaKeysKeepNearbyDoublesApart) {
+  // Both arguments print as 0.123457 at six significant digits.
+  Constraint c;
+  c.Add(Primitive::In(V(0), DomainCall{"fake", "double_of",
+                                       {Term::Const(Value(0.1234567))}}));
+  c.Add(Primitive::Eq(V(0), Term::Const(Value(0.2469134))));
+  c.Add(Primitive::In(V(1), DomainCall{"fake", "double_of",
+                                       {Term::Const(Value(0.1234568))}}));
+  c.Add(Primitive::Eq(V(1), Term::Const(Value(0.2469136))));
+  EXPECT_EQ(Solve(c), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 2);
+}
+
+TEST_F(SolverTest, DcaKeysKeepQuotedStringsApart) {
+  // One argument a"|"b against the two arguments "a", "b".
+  Constraint c;
+  c.Add(Primitive::In(V(0), DomainCall{"fake", "arity", {S("a\"|\"b")}}));
+  c.Add(Primitive::Eq(V(0), C(1)));
+  c.Add(Primitive::In(V(1), DomainCall{"fake", "arity", {S("a"), S("b")}}));
+  c.Add(Primitive::Eq(V(1), C(2)));
+  EXPECT_EQ(Solve(c), SolveOutcome::kSat);
+  EXPECT_EQ(eval_.calls, 2);
 }
 
 TEST(IntervalTest, EmptyAndContains) {

@@ -433,15 +433,32 @@ TEST(ParallelStrataTest, NaiveJoinModeIgnoresThreadCount) {
   EXPECT_EQ(Canon(s), Canon(v));
 }
 
-// An evaluator that does not report ConcurrentReadSafe() — a domain
-// manager whose call cache writes on evaluation — must run the sequential
-// engine and the sequential StDel sweep whatever num_threads says, like
-// the naive join above: nothing fans out, and the view is the threads=1
-// oracle's.
+// Forwards every call to another evaluator but keeps the default
+// ConcurrentReadSafe() == false, as an evaluator that writes on
+// evaluation must.
+class SerialOnlyEvaluator : public DcaEvaluator {
+ public:
+  explicit SerialOnlyEvaluator(DcaEvaluator* inner) : inner_(inner) {}
+  Result<DcaResult> Evaluate(const std::string& domain,
+                             const std::string& function,
+                             const std::vector<Value>& args) override {
+    return inner_->Evaluate(domain, function, args);
+  }
+  int64_t StateEpoch() const override { return inner_->StateEpoch(); }
+
+ private:
+  DcaEvaluator* inner_;
+};
+
+// An evaluator that does not report ConcurrentReadSafe() must run the
+// sequential engine and the sequential StDel sweep whatever num_threads
+// says, like the naive join above: nothing fans out, and the view is the
+// threads=1 oracle's.
 TEST(ParallelStrataTest, NonReadSafeEvaluatorIgnoresThreadCount) {
   TestWorld w = TestWorld::Make();
-  w.domains->EnableCallCache(true);
-  ASSERT_FALSE(w.domains->ConcurrentReadSafe());
+  ASSERT_TRUE(w.domains->ConcurrentReadSafe());
+  SerialOnlyEvaluator serial(w.domains.get());
+  ASSERT_FALSE(serial.ConcurrentReadSafe());
   Program p = workload::MakeGuardedMultiChain(/*chains=*/3, /*depth=*/4,
                                               /*width=*/6);
   std::vector<maint::Update> burst;
@@ -459,9 +476,8 @@ TEST(ParallelStrataTest, NonReadSafeEvaluatorIgnoresThreadCount) {
                  maint::BatchStats* batch_stats) {
     FixpointOptions opts;
     opts.num_threads = threads;
-    View v = Unwrap(Materialize(p, w.domains.get(), opts, fix_stats));
-    Status s = maint::ApplyBatch(p, &v, burst, w.domains.get(), opts,
-                                 batch_stats);
+    View v = Unwrap(Materialize(p, &serial, opts, fix_stats));
+    Status s = maint::ApplyBatch(p, &v, burst, &serial, opts, batch_stats);
     EXPECT_TRUE(s.ok()) << s.ToString();
     return v;
   };
