@@ -125,9 +125,9 @@ BENCHMARK(BM_WalOverhead)
 // ONE Checkpoint call. Mode 0 forces a full frame — serialize all 32
 // predicates, the pre-delta format and cost. Mode 1 writes a delta
 // against the previous frame's image: just the 4 chain-0 segments the
-// burst dirtied, plus the order runs. The delta flag is the FIRST arg on
-// purpose (the sidecar comparator pairs names ending in /0 vs /1 as
-// same-work twins, and checkpoint_bytes legitimately differs); widths
+// burst dirtied, with their view positions. The delta flag is the FIRST
+// arg on purpose (the sidecar comparator pairs names ending in /0 vs /1
+// as same-work twins, and checkpoint_bytes legitimately differs); widths
 // 16/64/256 keep the trailing arg out of twin territory. {delta, width}.
 void BM_CheckpointWrite(benchmark::State& state) {
   const bool delta = state.range(0) != 0;

@@ -290,4 +290,15 @@ Constraint SimplifyConstraint(const Constraint& c) {
   return SimplifyAtom({}, c).constraint;
 }
 
+Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
+  Constraint c = s.constraint;
+  if (c.is_false()) return c;
+  for (size_t k = 0; k < orig_head.size() && k < s.head.size(); ++k) {
+    if (!(orig_head[k] == s.head[k])) {
+      c.Add(Primitive::Eq(orig_head[k], s.head[k]));
+    }
+  }
+  return c;
+}
+
 }  // namespace mmv

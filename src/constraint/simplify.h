@@ -30,6 +30,11 @@ struct SimplifiedAtom {
 /// Solver's job).
 SimplifiedAtom SimplifyAtom(const TermVec& head, const Constraint& c);
 
+/// \brief Re-expresses a simplified atom's constraint over the original
+/// head argument terms: conjoins orig[k] = simplified_head[k] wherever
+/// simplification rewrote a head position. A false constraint stays false.
+Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s);
+
 /// \brief Simplifies a bare constraint (no head to protect).
 Constraint SimplifyConstraint(const Constraint& c);
 

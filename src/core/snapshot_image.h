@@ -1,20 +1,21 @@
 // SnapshotImage: the immutable, structurally shared view image that
 // snapshot publication and checkpointing both consume.
 //
-// An image is the view's atoms grouped into per-predicate SEGMENTS (each a
-// shared_ptr'd vector of atom copies in posting order) plus a run-length
-// encoding of the live view's global atom order. Consecutive images share
-// every segment the intervening batch did not touch: View::ExtractImage
-// copies only the predicates its dirty set names and re-points the rest at
-// the previous image's segments, so extraction is O(delta), not O(view).
+// An image is the view's atoms grouped into per-predicate SEGMENTS, each a
+// shared_ptr'd vector of atom copies in posting order together with the
+// atoms' view positions. Consecutive images share every segment the
+// intervening batch did not touch: View::ExtractImage copies only the
+// predicates its dirty set names and re-points the rest at the previous
+// image's segments, so extraction is O(delta), not O(view). A shared
+// segment's positions stay valid because every mutation that moves an atom
+// dirties its predicate.
 //
-// Why the global order is part of the image: enumeration order is
-// semantically load-bearing downstream — set-semantics support
-// representatives follow it, so a checkpoint serialized in a different
-// order would recover a view that DIVERGES from the live one under
-// continued maintenance. The order is stored as chunks of (pred, count)
-// runs; within one predicate the global order equals segment order, so a
-// run carries no offsets — readers keep one cursor per predicate.
+// Why positions are part of the image: enumeration order is semantically
+// load-bearing downstream — set-semantics support representatives follow
+// it, so a checkpoint serialized in a different order would recover a view
+// that DIVERGES from the live one under continued maintenance. The
+// positions of all segments together are exactly [0, atom_count), so the
+// global order follows from them.
 //
 // Images are plain immutable data: safe to read from any thread, pinned
 // alive by shared_ptr, never mutated after construction.
@@ -22,7 +23,6 @@
 #ifndef MMV_CORE_SNAPSHOT_IMAGE_H_
 #define MMV_CORE_SNAPSHOT_IMAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -39,56 +39,14 @@ struct SnapshotImage;
 using SnapshotImageHandle = std::shared_ptr<const SnapshotImage>;
 
 struct SnapshotImage {
-  /// One predicate's atoms, in posting-list (ascending live-index) order.
-  ///
-  /// Carries a lazily computed content fingerprint: segment SHARING is
-  /// proven by pointer identity, but a maintenance pass that re-materializes
-  /// a predicate with unchanged content (e.g. a fully-canceling burst)
-  /// breaks pointer equality while the bytes stayed the same. Consumers
-  /// that diff segments across epochs (delta checkpoints) hash the
-  /// canonical serialization once per segment, cache it here, and fall
-  /// back to a byte compare only on fingerprint equality — so an
-  /// equal-content segment costs one serialization instead of a frame
-  /// member. 0 means "not computed yet"; the cache is atomic because
-  /// images are immutable shared data read from any thread, and it is
-  /// deliberately NOT copied (a copy's contents may diverge afterwards).
+  /// One predicate's atoms, in posting-list (ascending view position)
+  /// order; positions[i] is atom i's position in the view.
   struct Segment : std::vector<ViewAtom> {
-    using std::vector<ViewAtom>::vector;
-    Segment() = default;
-    Segment(const Segment& other) : std::vector<ViewAtom>(other) {}
-    Segment(Segment&& other) noexcept
-        : std::vector<ViewAtom>(std::move(other)) {}
-    Segment& operator=(const Segment& other) {
-      std::vector<ViewAtom>::operator=(other);
-      fingerprint.store(0, std::memory_order_relaxed);
-      return *this;
-    }
-    Segment& operator=(Segment&& other) noexcept {
-      std::vector<ViewAtom>::operator=(std::move(other));
-      fingerprint.store(0, std::memory_order_relaxed);
-      return *this;
-    }
-    mutable std::atomic<uint64_t> fingerprint{0};
+    std::vector<size_t> positions;
   };
   using SegmentHandle = std::shared_ptr<const Segment>;
 
-  /// One run of the global atom order: the next \p count atoms belong to
-  /// \p pred, continuing wherever that predicate's cursor stands.
-  struct OrderRun {
-    Symbol pred;
-    uint64_t count = 0;
-  };
-  /// Runs are grouped into shared chunks so an append-only batch extends
-  /// the order by ONE new chunk while sharing every earlier chunk with the
-  /// previous image (chunk pointer equality is also how delta checkpoints
-  /// find the unchanged order prefix).
-  struct OrderChunk {
-    std::shared_ptr<const std::vector<OrderRun>> runs;
-    uint64_t atoms = 0;  ///< total atom count across this chunk's runs
-  };
-
   std::unordered_map<Symbol, SegmentHandle> segments;
-  std::vector<OrderChunk> order;
   uint64_t atom_count = 0;
 
   size_t size() const { return static_cast<size_t>(atom_count); }
@@ -109,25 +67,19 @@ struct SnapshotImage {
     return it == segments.end() ? nullptr : it->second;
   }
 
-  /// \brief Visits every atom in the image's global order. \p visit
-  /// returns false to stop early (budgeted enumeration). Returns false iff
-  /// the visit was stopped.
+  /// \brief Visits every atom in the image's global (view position)
+  /// order. \p visit returns false to stop early (budgeted enumeration).
+  /// Returns false iff the visit was stopped. O(atom_count).
   template <typename Visitor>
   bool ForEachAtom(Visitor visit) const {
-    std::unordered_map<Symbol, size_t> cursor;
-    const Segment* seg = nullptr;
-    Symbol seg_pred;
-    for (const OrderChunk& chunk : order) {
-      for (const OrderRun& run : *chunk.runs) {
-        if (seg == nullptr || !(seg_pred == run.pred)) {
-          seg_pred = run.pred;
-          seg = &AtomsFor(run.pred);
-        }
-        size_t& at = cursor[run.pred];
-        for (uint64_t i = 0; i < run.count; ++i) {
-          if (!visit((*seg)[at++])) return false;
-        }
+    std::vector<const ViewAtom*> slots(static_cast<size_t>(atom_count));
+    for (const auto& [pred, seg] : segments) {
+      for (size_t i = 0; i < seg->size(); ++i) {
+        slots[seg->positions[i]] = &(*seg)[i];
       }
+    }
+    for (const ViewAtom* atom : slots) {
+      if (!visit(*atom)) return false;
     }
     return true;
   }

@@ -56,7 +56,6 @@ std::vector<ViewAtom> View::TakeAtoms() {
   by_arg_var_.clear();
   last_image_.reset();
   image_dirty_preds_.clear();
-  image_order_stale_ = false;
   // max_var_ is deliberately PRESERVED: the mark is monotone over the
   // store's whole history (like RemoveAtoms, which never lowers it), and a
   // taker that re-Adds the atoms elsewhere still reads MaxVarId() here to
@@ -191,7 +190,6 @@ size_t View::RemoveAtoms(const std::vector<size_t>& positions) {
 
   for (auto [src, dst] : moves) atoms_[dst] = std::move(atoms_[src]);
   atoms_.resize(new_size);
-  image_order_stale_ = true;  // the global order is no longer a prefix
   return removed;
 }
 
@@ -337,34 +335,12 @@ std::vector<std::pair<size_t, size_t>> View::ParentsOfChildSupport(
   return out;
 }
 
-namespace {
-
-// Reader overhead on ForEachAtom is O(chunks) in hash lookups; cap the
-// chunk list so arbitrarily long append-only runs stay cheap to scan.
-constexpr size_t kMaxOrderChunks = 128;
-
-void RebuildOrder(const std::vector<ViewAtom>& atoms, SnapshotImage* image) {
-  image->order.clear();
-  if (atoms.empty()) return;
-  auto runs = std::make_shared<std::vector<SnapshotImage::OrderRun>>();
-  for (const ViewAtom& a : atoms) {
-    if (!runs->empty() && runs->back().pred == a.pred) {
-      runs->back().count++;
-    } else {
-      runs->push_back({a.pred, 1});
-    }
-  }
-  image->order.push_back({std::move(runs), atoms.size()});
-}
-
-}  // namespace
-
 SnapshotImageHandle View::ExtractImage(ImageExtractStats* stats) const {
   ImageExtractStats local;
   if (stats == nullptr) stats = &local;
 
   if (last_image_ != nullptr && image_dirty_preds_.empty() &&
-      !image_order_stale_ && last_image_->atom_count == atoms_.size()) {
+      last_image_->atom_count == atoms_.size()) {
     // Nothing changed since the previous extraction: share it wholesale.
     stats->segments_shared +=
         static_cast<int64_t>(last_image_->segments.size());
@@ -392,6 +368,7 @@ SnapshotImageHandle View::ExtractImage(ImageExtractStats* stats) const {
       auto seg = std::make_shared<SnapshotImage::Segment>();
       seg->reserve(postings.size());
       for (size_t idx : postings) seg->push_back(atoms_[idx]);
+      seg->positions = postings;
       stats->segments_copied++;
       stats->atoms_copied += static_cast<int64_t>(seg->size());
       image->segments.emplace(
@@ -399,35 +376,8 @@ SnapshotImageHandle View::ExtractImage(ImageExtractStats* stats) const {
     }
   }
 
-  // Global order. When no atom was removed since the previous extraction
-  // the old order is a strict prefix of the new one: share its chunks and
-  // append ONE chunk covering the tail the batch added. Removals reorder
-  // nothing but shrink interior runs, so they force a full rebuild (one
-  // O(view) pred-id sweep — tiny next to the segment copies it replaces).
-  const bool share_order = !image_order_stale_ && last_image_ != nullptr &&
-                           last_image_->atom_count <= atoms_.size();
-  if (share_order) {
-    image->order = last_image_->order;
-    const size_t have = static_cast<size_t>(last_image_->atom_count);
-    if (have < atoms_.size()) {
-      auto runs = std::make_shared<std::vector<SnapshotImage::OrderRun>>();
-      for (size_t i = have; i < atoms_.size(); ++i) {
-        if (!runs->empty() && runs->back().pred == atoms_[i].pred) {
-          runs->back().count++;
-        } else {
-          runs->push_back({atoms_[i].pred, 1});
-        }
-      }
-      image->order.push_back({std::move(runs), atoms_.size() - have});
-    }
-    if (image->order.size() > kMaxOrderChunks) RebuildOrder(atoms_, image.get());
-  } else {
-    RebuildOrder(atoms_, image.get());
-  }
-
   last_image_ = image;
   image_dirty_preds_.clear();
-  image_order_stale_ = false;
   return image;
 }
 

@@ -73,7 +73,6 @@ class View {
     max_var_ = other.max_var_;
     last_image_ = other.ExtractImage();
     image_dirty_preds_.clear();
-    image_order_stale_ = false;
     return *this;
   }
   // Declaring the copy operations suppresses the implicit moves; restore
@@ -162,9 +161,9 @@ class View {
   /// From 1/16 of the view on, per-entry hash probes cost more than one
   /// pass over every index, so the indexes are swept once through a dense
   /// old -> new position remap instead; the result is the same. The global
-  /// atom order is not preserved: the moved atoms' predicates become
-  /// image-dirty and the image's global order is rebuilt on the next
-  /// ExtractImage.
+  /// atom order is not preserved: the removed and moved atoms' predicates
+  /// become image-dirty, so the next ExtractImage re-copies their segments
+  /// with the new positions.
   size_t RemoveAtoms(const std::vector<size_t>& positions);
 
   /// \brief Removes the atoms flagged by \p pred: one scan collecting
@@ -203,9 +202,9 @@ class View {
   };
 
   /// \brief Extracts the immutable image of the current state, sharing
-  /// every per-pred segment (and order chunk) untouched since the previous
-  /// extraction — O(delta) for the incremental-maintenance steady state,
-  /// O(view) only on the first call or after wholesale churn.
+  /// every per-pred segment untouched since the previous extraction —
+  /// O(delta) for the incremental-maintenance steady state, O(view) only
+  /// on the first call or after wholesale churn.
   ///
   /// The returned image is safe to read from any thread; this view keeps a
   /// reference so the NEXT extraction can share against it. Single-writer
@@ -269,16 +268,13 @@ class View {
   VarId max_var_ = -1;
 
   // Copy-on-write extraction state (core/snapshot_image.h). The dirty set
-  // names predicates whose segment in last_image_ may no longer match this
-  // view; order_stale_ records that atoms were removed or moved,
-  // invalidating the shared global-order prefix. mutable because
-  // ExtractImage is logically const (it caches, never changes view
-  // semantics). The copy operations
-  // above refresh-and-share this cache rather than duplicating dirty
-  // bookkeeping (see their comment); moves transfer it verbatim.
+  // names predicates whose segment in last_image_ — atoms or positions —
+  // may no longer match this view. mutable because ExtractImage is
+  // logically const (it caches, never changes view semantics). The copy
+  // operations above refresh-and-share this cache rather than duplicating
+  // dirty bookkeeping (see their comment); moves transfer it verbatim.
   mutable SnapshotImageHandle last_image_;
   mutable std::unordered_set<Symbol> image_dirty_preds_;
-  mutable bool image_order_stale_ = false;
 };
 
 }  // namespace mmv

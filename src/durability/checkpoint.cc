@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 #include "common/crc32c.h"
 
@@ -11,7 +12,7 @@ namespace durability {
 namespace {
 
 constexpr char kMagic[] = "mmv-checkpoint v1";
-constexpr char kDeltaMagic[] = "mmv-checkpoint-delta v1";
+constexpr char kDeltaMagic[] = "mmv-checkpoint-delta v2";
 constexpr char kSeparator[] = "---\n";
 
 std::string Hex32(uint32_t v) {
@@ -19,6 +20,9 @@ std::string Hex32(uint32_t v) {
   std::snprintf(buf, sizeof(buf), "%08x", v);
   return buf;
 }
+
+// Every uint64_t fits in 20 decimal digits.
+constexpr size_t kPaddedDigits = 20;
 
 std::string Padded(uint64_t v) {
   char buf[32];
@@ -45,22 +49,6 @@ Result<std::string> TakeField(std::string_view file, size_t* at,
   return std::string(line.substr(key.size() + 1));
 }
 
-Result<uint64_t> ToU64(const std::string& s, std::string_view field) {
-  uint64_t v = 0;
-  if (s.empty()) {
-    return Status::ParseError("checkpoint header: empty " +
-                              std::string(field));
-  }
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError("checkpoint header: bad " +
-                                std::string(field) + " '" + s + "'");
-    }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return v;
-}
-
 Result<uint32_t> ToHex32(const std::string& s, std::string_view field) {
   if (s.size() != 8) {
     return Status::ParseError("checkpoint header: bad " +
@@ -82,21 +70,39 @@ Result<uint32_t> ToHex32(const std::string& s, std::string_view field) {
   return v;
 }
 
+// Accepts exactly the names Padded writes: any other digit count is a
+// foreign file, not a durability file with a different epoch.
 Result<uint64_t> ParseNamed(std::string_view name, std::string_view prefix,
                             std::string_view suffix) {
-  if (name.size() <= prefix.size() + suffix.size() ||
+  if (name.size() != prefix.size() + kPaddedDigits + suffix.size() ||
       name.compare(0, prefix.size(), prefix) != 0 ||
       name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
           0) {
     return Status::ParseError("not a durability file name: " +
                               std::string(name));
   }
-  std::string digits(name.substr(
-      prefix.size(), name.size() - prefix.size() - suffix.size()));
-  return ToU64(digits, "file name epoch");
+  return ParseU64(name.substr(prefix.size(), kPaddedDigits),
+                  "file name epoch");
 }
 
 }  // namespace
+
+Result<uint64_t> ParseU64(std::string_view s, std::string_view what) {
+  if (s.empty()) {
+    return Status::ParseError("checkpoint: empty " + std::string(what));
+  }
+  uint64_t v = 0;
+  for (char c : s) {
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (c < '0' || c > '9' ||
+        v > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return Status::ParseError("checkpoint: bad " + std::string(what) +
+                                " '" + std::string(s) + "'");
+    }
+    v = v * 10 + digit;
+  }
+  return v;
+}
 
 std::string EncodeCheckpoint(const CheckpointMeta& meta,
                              std::string_view body) {
@@ -131,7 +137,7 @@ Result<CheckpointMeta> DecodeCheckpoint(std::string_view file,
 
   CheckpointMeta meta;
   MMV_ASSIGN_OR_RETURN(std::string epoch_s, TakeField(file, &at, "epoch"));
-  MMV_ASSIGN_OR_RETURN(meta.epoch, ToU64(epoch_s, "epoch"));
+  MMV_ASSIGN_OR_RETURN(meta.epoch, ParseU64(epoch_s, "epoch"));
   MMV_ASSIGN_OR_RETURN(std::string counter_s,
                        TakeField(file, &at, "ext_counter"));
   {
@@ -139,7 +145,7 @@ Result<CheckpointMeta> DecodeCheckpoint(std::string_view file,
     bool neg = !counter_s.empty() && counter_s[0] == '-';
     MMV_ASSIGN_OR_RETURN(
         uint64_t mag,
-        ToU64(neg ? counter_s.substr(1) : counter_s, "ext_counter"));
+        ParseU64(neg ? counter_s.substr(1) : counter_s, "ext_counter"));
     meta.ext_counter = neg ? -static_cast<int>(mag) : static_cast<int>(mag);
   }
   MMV_ASSIGN_OR_RETURN(std::string program_s,
@@ -147,9 +153,9 @@ Result<CheckpointMeta> DecodeCheckpoint(std::string_view file,
   MMV_ASSIGN_OR_RETURN(meta.program_crc, ToHex32(program_s, "program"));
   MMV_ASSIGN_OR_RETURN(std::string offset_s,
                        TakeField(file, &at, "wal_offset"));
-  MMV_ASSIGN_OR_RETURN(meta.wal_offset, ToU64(offset_s, "wal_offset"));
+  MMV_ASSIGN_OR_RETURN(meta.wal_offset, ParseU64(offset_s, "wal_offset"));
   MMV_ASSIGN_OR_RETURN(std::string atoms_s, TakeField(file, &at, "atoms"));
-  MMV_ASSIGN_OR_RETURN(meta.atoms, ToU64(atoms_s, "atoms"));
+  MMV_ASSIGN_OR_RETURN(meta.atoms, ParseU64(atoms_s, "atoms"));
 
   size_t checksum_at = at;
   MMV_ASSIGN_OR_RETURN(std::string checksum_s,
@@ -206,9 +212,9 @@ Result<DeltaCheckpointMeta> DecodeDeltaCheckpoint(std::string_view file,
 
   DeltaCheckpointMeta meta;
   MMV_ASSIGN_OR_RETURN(std::string epoch_s, TakeField(file, &at, "epoch"));
-  MMV_ASSIGN_OR_RETURN(meta.epoch, ToU64(epoch_s, "epoch"));
+  MMV_ASSIGN_OR_RETURN(meta.epoch, ParseU64(epoch_s, "epoch"));
   MMV_ASSIGN_OR_RETURN(std::string parent_s, TakeField(file, &at, "parent"));
-  MMV_ASSIGN_OR_RETURN(meta.parent, ToU64(parent_s, "parent"));
+  MMV_ASSIGN_OR_RETURN(meta.parent, ParseU64(parent_s, "parent"));
   MMV_ASSIGN_OR_RETURN(std::string counter_s,
                        TakeField(file, &at, "ext_counter"));
   {
@@ -216,7 +222,7 @@ Result<DeltaCheckpointMeta> DecodeDeltaCheckpoint(std::string_view file,
     bool neg = !counter_s.empty() && counter_s[0] == '-';
     MMV_ASSIGN_OR_RETURN(
         uint64_t mag,
-        ToU64(neg ? counter_s.substr(1) : counter_s, "ext_counter"));
+        ParseU64(neg ? counter_s.substr(1) : counter_s, "ext_counter"));
     meta.ext_counter = neg ? -static_cast<int>(mag) : static_cast<int>(mag);
   }
   MMV_ASSIGN_OR_RETURN(std::string program_s,
@@ -224,9 +230,9 @@ Result<DeltaCheckpointMeta> DecodeDeltaCheckpoint(std::string_view file,
   MMV_ASSIGN_OR_RETURN(meta.program_crc, ToHex32(program_s, "program"));
   MMV_ASSIGN_OR_RETURN(std::string offset_s,
                        TakeField(file, &at, "wal_offset"));
-  MMV_ASSIGN_OR_RETURN(meta.wal_offset, ToU64(offset_s, "wal_offset"));
+  MMV_ASSIGN_OR_RETURN(meta.wal_offset, ParseU64(offset_s, "wal_offset"));
   MMV_ASSIGN_OR_RETURN(std::string atoms_s, TakeField(file, &at, "atoms"));
-  MMV_ASSIGN_OR_RETURN(meta.atoms, ToU64(atoms_s, "atoms"));
+  MMV_ASSIGN_OR_RETURN(meta.atoms, ParseU64(atoms_s, "atoms"));
 
   size_t checksum_at = at;
   MMV_ASSIGN_OR_RETURN(std::string checksum_s,

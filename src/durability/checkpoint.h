@@ -21,23 +21,24 @@
 // atomically renamed, so a crash mid-write never shadows a good
 // checkpoint with a partial one.
 //
-// DELTA checkpoints ("dckpt-<epoch>.mmv") amortize the full image: between
-// full-image cadence boundaries the writer records only what changed since
-// the PARENT checkpoint (the immediately preceding one, full or delta).
-// Same header discipline plus a `parent <epoch>` field; the body is
-// line-oriented against the parent's composed image:
+// DELTA checkpoints ("dckpt-<epoch>.mmv", magic "mmv-checkpoint-delta v2")
+// amortize the full image: between full-image cadence boundaries the
+// writer records only what changed since the PARENT checkpoint (the
+// immediately preceding one, full or delta). Same header discipline plus a
+// `parent <epoch>` field; the body is line-oriented against the parent's
+// composed image:
 //
 //   removed <pred>           -- the predicate vanished entirely
 //   seg <pred> <n>           -- the predicate's segment changed: the next
-//   <n atom lines>              n lines are its full new contents
-//   order keep <k>           -- the first k atoms of the parent's global
-//                               order survive unchanged...
-//   order run <pred> <n>     -- ...followed by these (pred, count) runs.
-//                               Within one pred the global order equals
-//                               segment order, so runs carry no offsets.
+//   at <start>+<len> ...        line lists its atoms' view positions as
+//   <n atom lines>              ascending ranges (lengths sum to n), then
+//                               n lines are its full new contents
 //
-// Recovery composes newest full + descendant deltas + WAL tail; any
-// invalid member fails the whole chain, falling back to an older head.
+// Segments the frame does not name keep the parent's atoms AND positions.
+// Composition places every atom at its position: each slot in
+// [0, header atoms) must be filled exactly once. Recovery composes newest
+// full + descendant deltas + WAL tail; any invalid member fails the whole
+// chain, falling back to an older head.
 
 #ifndef MMV_DURABILITY_CHECKPOINT_H_
 #define MMV_DURABILITY_CHECKPOINT_H_
@@ -103,12 +104,17 @@ std::string DeltaCheckpointFileName(uint64_t epoch);
 /// seq > base (a fresh segment starts at every checkpoint).
 std::string WalSegmentFileName(uint64_t base);
 
-/// \brief Extracts the epoch/base out of a file name produced by the two
-/// helpers above; error if \p name has a different shape (".tmp" siblings
-/// and foreign files are NOT valid checkpoint/segment names).
+/// \brief Extracts the epoch/base out of a file name produced by the
+/// helpers above; error if \p name has a different shape, including any
+/// digit count other than the 20 they write (".tmp" siblings and foreign
+/// files are NOT valid checkpoint/segment names).
 Result<uint64_t> ParseCheckpointFileName(std::string_view name);
 Result<uint64_t> ParseDeltaCheckpointFileName(std::string_view name);
 Result<uint64_t> ParseWalSegmentFileName(std::string_view name);
+
+/// \brief Parses a non-empty decimal digit string; a ParseError naming
+/// \p what on any other character or on uint64_t overflow.
+Result<uint64_t> ParseU64(std::string_view s, std::string_view what);
 
 }  // namespace durability
 }  // namespace mmv

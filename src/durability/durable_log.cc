@@ -1,6 +1,7 @@
 #include "durability/durable_log.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -51,44 +52,24 @@ std::vector<maint::Update> ToUpdates(
   return updates;
 }
 
-Result<uint64_t> ParseU64(std::string_view s, std::string_view what) {
-  if (s.empty()) {
-    return Status::ParseError("delta checkpoint: empty " + std::string(what));
-  }
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError("delta checkpoint: bad " + std::string(what) +
-                                " '" + std::string(s) + "'");
-    }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return v;
-}
-
 // ---------------------------------------------------------------------------
-// Delta checkpoint bodies. A delta frame records, against its PARENT's
-// composed image: the predicates that vanished, the full new contents of
-// every segment that changed (detected by shared_ptr identity — a shared
-// segment is bit-identical by construction), and the new global atom order
-// as a kept-prefix length plus (pred, count) runs. Within one predicate
-// the global order equals segment order, so runs need no offsets.
+// Delta checkpoint bodies (format in checkpoint.h). A delta frame records,
+// against its PARENT's composed image, the predicates that vanished and
+// every segment that changed, with its atoms' view positions. Changes are
+// detected by shared_ptr identity: a shared segment is bit-identical,
+// positions included, by construction.
 
-// Content fingerprint of a segment's canonical serialization, cached on
-// the segment (see SnapshotImage::Segment). FNV-1a; 0 is reserved for
-// "not computed", so a genuine 0 hash is nudged to 1.
-uint64_t SegmentFingerprint(const SnapshotImage::Segment& seg) {
-  uint64_t cached = seg.fingerprint.load(std::memory_order_relaxed);
-  if (cached != 0) return cached;
-  std::string bytes = parser::SerializeAtoms(seg);
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
+// Writes ascending \p positions as one "at <start>+<len> ..." line.
+void AppendPositions(const std::vector<size_t>& positions,
+                     std::ostringstream* os) {
+  *os << "at";
+  for (size_t i = 0; i < positions.size();) {
+    size_t j = i + 1;
+    while (j < positions.size() && positions[j] == positions[j - 1] + 1) ++j;
+    *os << ' ' << positions[i] << '+' << (j - i);
+    i = j;
   }
-  if (h == 0) h = 1;
-  seg.fingerprint.store(h, std::memory_order_relaxed);
-  return h;
+  *os << '\n';
 }
 
 std::string BuildDeltaBody(const SnapshotImage& parent,
@@ -106,66 +87,25 @@ std::string BuildDeltaBody(const SnapshotImage& parent,
   std::vector<Symbol> changed;
   for (const auto& [pred, seg] : child.segments) {
     auto it = parent.segments.find(pred);
-    if (it == parent.segments.end()) {
+    if (it == parent.segments.end() || it->second != seg) {
       changed.push_back(pred);
-      continue;
     }
-    // Shared pointer: bit-identical by construction. Distinct pointers: a
-    // fully-canceling burst re-materializes the segment with unchanged
-    // content, so compare fingerprints and — on a match, since the hash
-    // alone could collide — bytes, before paying for a frame member.
-    // Composition then keeps the parent's equal-content segment.
-    if (it->second == seg) continue;
-    if (SegmentFingerprint(*it->second) == SegmentFingerprint(*seg) &&
-        parser::SerializeAtoms(*it->second) == parser::SerializeAtoms(*seg)) {
-      continue;
-    }
-    changed.push_back(pred);
   }
   std::sort(changed.begin(), changed.end());
   for (Symbol pred : changed) {
     const SnapshotImage::Segment& seg = *child.segments.at(pred);
     os << "seg " << pred.name() << " " << seg.size() << "\n";
+    AppendPositions(seg.positions, &os);
     os << parser::SerializeAtoms(seg);
   }
-
-  // Order: the chunk-pointer prefix both images share needs no re-listing.
-  uint64_t keep = 0;
-  size_t shared_chunks = 0;
-  while (shared_chunks < child.order.size() &&
-         shared_chunks < parent.order.size() &&
-         child.order[shared_chunks].runs == parent.order[shared_chunks].runs) {
-    keep += child.order[shared_chunks].atoms;
-    ++shared_chunks;
-  }
-  os << "order keep " << keep << "\n";
-  Symbol run_pred;
-  uint64_t run_count = 0;
-  auto flush_run = [&] {
-    if (run_count > 0) {
-      os << "order run " << run_pred.name() << " " << run_count << "\n";
-    }
-  };
-  for (size_t c = shared_chunks; c < child.order.size(); ++c) {
-    for (const SnapshotImage::OrderRun& run : *child.order[c].runs) {
-      if (run_count > 0 && run.pred == run_pred) {
-        run_count += run.count;
-      } else {
-        flush_run();
-        run_pred = run.pred;
-        run_count = run.count;
-      }
-    }
-  }
-  flush_run();
   return os.str();
 }
 
 // The working state a checkpoint chain composes into: mutable per-pred
-// segments plus the flattened global-order runs.
+// segments (atoms plus view positions) and the composed atom count.
 struct ComposedState {
-  std::unordered_map<Symbol, std::vector<ViewAtom>> segments;
-  std::vector<SnapshotImage::OrderRun> order;
+  std::unordered_map<Symbol, SnapshotImage::Segment> segments;
+  uint64_t atoms = 0;
 };
 
 Result<ComposedState> FromFullBody(const std::string& body,
@@ -174,14 +114,39 @@ Result<ComposedState> FromFullBody(const std::string& body,
   ComposedState state;
   std::vector<ViewAtom> atoms = tmp.TakeAtoms();
   for (ViewAtom& a : atoms) {
-    if (!state.order.empty() && state.order.back().pred == a.pred) {
-      state.order.back().count++;
-    } else {
-      state.order.push_back({a.pred, 1});
-    }
-    state.segments[a.pred].push_back(std::move(a));
+    SnapshotImage::Segment& seg = state.segments[a.pred];
+    seg.positions.push_back(state.atoms++);
+    seg.push_back(std::move(a));
   }
   return state;
+}
+
+// Places every composed atom at its view position: the slot table is the
+// composed view in order. Corruption unless the segments fill each slot in
+// [0, state->atoms) exactly once.
+Result<std::vector<ViewAtom*>> PlaceAtoms(ComposedState* state) {
+  uint64_t total = 0;
+  for (const auto& [pred, seg] : state->segments) total += seg.size();
+  if (total != state->atoms) {
+    return Status::ParseError(
+        "delta checkpoint: composed segments hold " + std::to_string(total) +
+        " atoms, header says " + std::to_string(state->atoms));
+  }
+  // As many atoms as slots, none out of range or doubly placed: every slot
+  // is filled.
+  std::vector<ViewAtom*> slots(static_cast<size_t>(total), nullptr);
+  for (auto& [pred, seg] : state->segments) {
+    for (size_t i = 0; i < seg.size(); ++i) {
+      const size_t at = seg.positions[i];
+      if (at >= slots.size() || slots[at] != nullptr) {
+        return Status::ParseError(
+            "delta checkpoint: position " + std::to_string(at) + " of '" +
+            pred.name() + "' is out of range or placed twice");
+      }
+      slots[at] = &seg[i];
+    }
+  }
+  return slots;
 }
 
 // Line cursor over a delta body; keeps byte offsets so a seg section's raw
@@ -215,10 +180,52 @@ Result<std::pair<Symbol, uint64_t>> ParsePredCount(std::string_view rest,
   return std::make_pair(Symbol(rest.substr(0, sp)), count);
 }
 
+// Parses a seg section's "at <start>+<len> ..." line into the segment's
+// positions; the range lengths must sum to \p n.
+Result<std::vector<size_t>> ParsePositions(std::string_view line, uint64_t n,
+                                           Symbol pred) {
+  const std::string where = "delta checkpoint: seg section for '" +
+                            pred.name() + "'";
+  if (line != "at" && !StartsWith(line, "at ")) {
+    return Status::ParseError(where + " lacks its 'at' line");
+  }
+  std::vector<size_t> positions;
+  positions.reserve(static_cast<size_t>(n));  // n <= the frame's line count
+  size_t at = 2;
+  while (at < line.size()) {
+    size_t end = line.find(' ', at + 1);
+    if (end == std::string_view::npos) end = line.size();
+    std::string_view range = line.substr(at + 1, end - at - 1);
+    size_t plus = range.find('+');
+    if (plus == std::string_view::npos) {
+      return Status::ParseError(where + ": malformed range '" +
+                                std::string(range) + "'");
+    }
+    MMV_ASSIGN_OR_RETURN(uint64_t start,
+                         ParseU64(range.substr(0, plus), "range start"));
+    MMV_ASSIGN_OR_RETURN(uint64_t len,
+                         ParseU64(range.substr(plus + 1), "range length"));
+    if (len > n - positions.size() ||
+        start > std::numeric_limits<uint64_t>::max() - len) {
+      return Status::ParseError(where + ": ranges exceed its " +
+                                std::to_string(n) + " atoms");
+    }
+    for (uint64_t k = 0; k < len; ++k) positions.push_back(start + k);
+    at = end;
+  }
+  if (positions.size() != n) {
+    return Status::ParseError(where + ": ranges cover " +
+                              std::to_string(positions.size()) + " of its " +
+                              std::to_string(n) + " atoms");
+  }
+  return positions;
+}
+
 // Applies one delta frame's body over \p state. Strict: any structural
-// surprise (unknown removed pred, truncated section, order mismatch, atom
-// count disagreeing with the header) is corruption, reported as a
-// ParseError so recovery abandons this chain and falls back.
+// surprise (unknown removed pred, truncated section, a position range that
+// disagrees with its section, a slot of the composed view filled twice or
+// never) is corruption, reported as a ParseError so recovery abandons this
+// chain and falls back.
 Status ApplyDeltaBody(std::string_view body, Program* program,
                       const DeltaCheckpointMeta& meta, ComposedState* state) {
   LineCursor cur{body};
@@ -238,123 +245,58 @@ Status ApplyDeltaBody(std::string_view body, Program* program,
     MMV_ASSIGN_OR_RETURN(auto pred_count,
                          ParsePredCount(line.substr(4), "seg count"));
     const auto [pred, count] = pred_count;
+    std::string_view at_line;
+    bool complete = cur.Next(&at_line);
     size_t start = cur.at;
-    for (uint64_t i = 0; i < count; ++i) {
-      if (!cur.Next(&line)) {
-        return Status::ParseError(
-            "delta checkpoint: seg section for '" + pred.name() +
-            "' truncated");
-      }
+    for (uint64_t i = 0; complete && i < count; ++i) {
+      complete = cur.Next(&line);
     }
+    if (!complete) {
+      return Status::ParseError("delta checkpoint: seg section for '" +
+                                pred.name() + "' truncated");
+    }
+    // Parsed once the section's lines are known to exist, so a corrupt
+    // count cannot drive the position list past the frame's size.
+    MMV_ASSIGN_OR_RETURN(std::vector<size_t> positions,
+                         ParsePositions(at_line, count, pred));
     MMV_ASSIGN_OR_RETURN(
         View tmp,
         parser::DeserializeView(body.substr(start, cur.at - start), program));
-    std::vector<ViewAtom> seg = tmp.TakeAtoms();
-    if (seg.size() != count) {
+    std::vector<ViewAtom> atoms = tmp.TakeAtoms();
+    if (atoms.size() != count) {
       return Status::ParseError("delta checkpoint: seg section for '" +
                                 pred.name() + "' parsed to a different count");
     }
-    for (const ViewAtom& a : seg) {
+    for (const ViewAtom& a : atoms) {
       if (a.pred != pred) {
         return Status::ParseError(
             "delta checkpoint: seg section for '" + pred.name() +
             "' holds an atom of '" + a.pred.name() + "'");
       }
     }
-    state->segments[pred] = std::move(seg);
+    SnapshotImage::Segment& seg = state->segments[pred];
+    seg.swap(atoms);
+    seg.positions = std::move(positions);
     have_line = cur.Next(&line);
   }
-
-  if (!have_line || !StartsWith(line, "order keep ")) {
-    return Status::ParseError(
-        "delta checkpoint: missing 'order keep' line");
+  if (have_line) {
+    return Status::ParseError("delta checkpoint: unexpected line '" +
+                              std::string(line) + "'");
   }
-  MMV_ASSIGN_OR_RETURN(uint64_t keep,
-                       ParseU64(line.substr(11), "order keep"));
-  std::vector<SnapshotImage::OrderRun> new_order;
-  uint64_t remaining = keep;
-  for (const SnapshotImage::OrderRun& run : state->order) {
-    if (remaining == 0) break;
-    uint64_t take = std::min<uint64_t>(run.count, remaining);
-    if (!new_order.empty() && new_order.back().pred == run.pred) {
-      new_order.back().count += take;
-    } else {
-      new_order.push_back({run.pred, take});
-    }
-    remaining -= take;
-  }
-  if (remaining > 0) {
-    return Status::ParseError(
-        "delta checkpoint: 'order keep' exceeds the parent's atom order");
-  }
-  while (cur.Next(&line)) {
-    if (!StartsWith(line, "order run ")) {
-      return Status::ParseError("delta checkpoint: unexpected line '" +
-                                std::string(line) + "'");
-    }
-    MMV_ASSIGN_OR_RETURN(auto pred_count,
-                         ParsePredCount(line.substr(10), "order run"));
-    const auto [pred, count] = pred_count;
-    if (!new_order.empty() && new_order.back().pred == pred) {
-      new_order.back().count += count;
-    } else {
-      new_order.push_back({pred, count});
-    }
-  }
-  state->order = std::move(new_order);
-
-  uint64_t order_total = 0;
-  for (const SnapshotImage::OrderRun& run : state->order) {
-    order_total += run.count;
-  }
-  uint64_t segment_total = 0;
-  for (const auto& [pred, seg] : state->segments) {
-    segment_total += seg.size();
-  }
-  if (order_total != segment_total || order_total != meta.atoms) {
-    return Status::ParseError(
-        "delta checkpoint: composed atom counts disagree (order " +
-        std::to_string(order_total) + ", segments " +
-        std::to_string(segment_total) + ", header " +
-        std::to_string(meta.atoms) + ")");
-  }
-  return Status::OK();
+  state->atoms = meta.atoms;
+  return PlaceAtoms(state).status();
 }
 
-// Materializes the composed state into a View, re-Adding atoms in the
-// recorded global order (the order is load-bearing: continued maintenance
-// is byte-identical only if the rebuilt view enumerates like the original).
-// Consumes \p state: atoms are MOVED into the view per-pred as the order
-// cursor passes them, so the peak is one view plus segment shells — not
-// the composed state and a full copy side by side.
+// Materializes the composed state into a View, re-Adding atoms in view
+// position order (the order is load-bearing: continued maintenance is
+// byte-identical only if the rebuilt view enumerates like the original).
+// Consumes \p state: atoms are MOVED into the view, so the peak is one view
+// plus segment shells — not the composed state and a full copy side by
+// side.
 Result<View> BuildView(ComposedState* state) {
+  MMV_ASSIGN_OR_RETURN(std::vector<ViewAtom*> slots, PlaceAtoms(state));
   View view;
-  std::unordered_map<Symbol, size_t> cursor;
-  for (const SnapshotImage::OrderRun& run : state->order) {
-    auto it = state->segments.find(run.pred);
-    if (it == state->segments.end()) {
-      return Status::ParseError(
-          "delta checkpoint: atom order names unknown predicate '" +
-          run.pred.name() + "'");
-    }
-    size_t& at = cursor[run.pred];
-    if (at + run.count > it->second.size()) {
-      return Status::ParseError(
-          "delta checkpoint: atom order overruns the segment of '" +
-          run.pred.name() + "'");
-    }
-    for (uint64_t i = 0; i < run.count; ++i) {
-      view.Add(std::move(it->second[at++]));
-    }
-  }
-  for (const auto& [pred, seg] : state->segments) {
-    auto it = cursor.find(pred);
-    if (it == cursor.end() || it->second != seg.size()) {
-      return Status::ParseError(
-          "delta checkpoint: atom order does not cover the segment of '" +
-          pred.name() + "'");
-    }
-  }
+  for (ViewAtom* atom : slots) view.Add(std::move(*atom));
   return view;
 }
 

@@ -21,7 +21,10 @@
 // The checkpoint writer never deep-reads the live view: CommitBurst
 // receives the SAME immutable SnapshotImage the snapshot store publishes
 // (one O(delta) extraction per batch serves readers AND durability), and
-// deltas are diffed image-against-image by segment pointer identity.
+// deltas are diffed image-against-image by segment pointer identity. A
+// changed segment travels with its atoms' view positions, so no frame
+// records the global atom order separately: recovery places each atom at
+// its position.
 //
 // Invariants the layout maintains:
 //   - every segment base is a checkpoint epoch (Create writes the initial

@@ -25,20 +25,6 @@ VarId MaxVar(const TermVec& args, const Constraint& c) {
   return max_id;
 }
 
-// Re-expresses a simplified atom's constraint over the original head
-// argument terms: conjoins orig[k] = simplified_head[k] wherever
-// simplification rewrote a head position.
-Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
-  Constraint c = s.constraint;
-  if (c.is_false()) return c;
-  for (size_t k = 0; k < orig_head.size() && k < s.head.size(); ++k) {
-    if (!(orig_head[k] == s.head[k])) {
-      c.Add(Primitive::Eq(orig_head[k], s.head[k]));
-    }
-  }
-  return c;
-}
-
 // The atoms of \p pred that may share an instance with a request whose
 // simplified head is \p head, ascending. At a ground head position an atom
 // holding a different constant cannot overlap, so the candidates are the

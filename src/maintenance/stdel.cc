@@ -23,18 +23,6 @@ struct Pair {
   Support spt;
 };
 
-// Re-expresses a simplified constraint over the original head arguments.
-Constraint RebindHead(const TermVec& orig_head, const SimplifiedAtom& s) {
-  Constraint c = s.constraint;
-  if (c.is_false()) return c;
-  for (size_t k = 0; k < orig_head.size() && k < s.head.size(); ++k) {
-    if (!(orig_head[k] == s.head[k])) {
-      c.Add(Primitive::Eq(orig_head[k], s.head[k]));
-    }
-  }
-  return c;
-}
-
 // Pre-pass constraints of the atoms this pass replaced, keyed by atom
 // index; an atom absent from the map still holds its pre-pass constraint.
 using OriginalConstraints = std::unordered_map<size_t, Constraint>;

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -329,7 +334,7 @@ durability::DeltaCheckpointMeta SampleDeltaMeta() {
 
 TEST(DeltaCheckpointCodecTest, RoundTrip) {
   std::string body =
-      "seg a 1\na(X0) <- X0 = 1 @ <1> # 0\norder keep 0\norder run a 1\n";
+      "seg a 1\nat 0+1\na(X0) <- X0 = 1 @ <1> # 0\n";
   std::string file = durability::EncodeDeltaCheckpoint(SampleDeltaMeta(), body);
   std::string out;
   durability::DeltaCheckpointMeta meta =
@@ -588,13 +593,11 @@ TEST(DurableLogTest, RecoveryComposesAWholeDeltaChain) {
   EXPECT_EQ(parser::SerializeView(rec_view), parser::SerializeView(w.view));
 }
 
-// Regression for the delta frame's changed-predicate diff: a burst whose
-// net effect is NOTHING (inserts canceled by deletes in the same batch)
-// re-materializes the touched segments — pointer inequality alone would
-// serialize every one of them into the delta frame. The content
-// fingerprint proves them unchanged, so the frame carries only order
-// bookkeeping: no seg sections, no removed lines.
-TEST(DurableLogTest, FullyCancelingBurstEmitsNearEmptyDeltaFrame) {
+// A burst whose net effect is NOTHING (inserts canceled by deletes in the
+// same batch) may re-materialize the touched segments with new pointers
+// and moved positions. Whatever the delta frame re-lists, composing it
+// must recover the exact view.
+TEST(DurableLogTest, FullyCancelingBurstDeltaFrameRecoversExactly) {
   LogWorld w;
   DurabilityOptions opts;
   opts.checkpoint_every_records = 1;
@@ -618,11 +621,7 @@ TEST(DurableLogTest, FullyCancelingBurstEmitsNearEmptyDeltaFrame) {
       w.fs.ReadFile("state/" + durability::DeltaCheckpointFileName(2)));
   std::string body;
   Unwrap(durability::DecodeDeltaCheckpoint(file, &body));
-  EXPECT_EQ(body.find("seg "), std::string::npos)
-      << "unchanged-content segment serialized into the delta frame:\n"
-      << body;
   EXPECT_EQ(body.find("removed "), std::string::npos) << body;
-  // The near-empty frame still recovers the exact view.
   RecoveryInfo info;
   std::unique_ptr<DurableLog> recovered = Unwrap(DurableLog::Recover(
       &w.fs, "state", &w.program, w.world.domains.get(), w.fp, nullptr,
@@ -636,7 +635,7 @@ TEST(DurableLogTest, FullyCancelingBurstEmitsNearEmptyDeltaFrame) {
 // deltas over one full image, replayed parent-first with each frame's
 // bytes released before the next (recovery peak stays O(view), not
 // O(view + all frames)). Mixed shapes again, ending on a delete so the
-// final frame rewrites the order.
+// final frame re-lists the positions a swap-fill removal moved.
 TEST(DurableLogTest, RecoveryComposesAFourDeltaChain) {
   LogWorld w;
   DurabilityOptions opts;
@@ -660,6 +659,152 @@ TEST(DurableLogTest, RecoveryComposesAFourDeltaChain) {
   View rec_view = recovered->TakeRecoveredView();
   EXPECT_EQ(CanonicalState(rec_view), CanonicalState(w.view));
   EXPECT_EQ(parser::SerializeView(rec_view), parser::SerializeView(w.view));
+}
+
+// A delta frame that re-lists every segment of \p image, each position as
+// its own one-atom range. \p edit may corrupt the positions first.
+std::string FrameRelistingEverySegment(
+    const SnapshotImage& image,
+    const std::function<void(Symbol, std::vector<size_t>*)>& edit) {
+  std::vector<Symbol> preds;
+  for (const auto& [pred, seg] : image.segments) preds.push_back(pred);
+  std::sort(preds.begin(), preds.end());
+  std::string body;
+  for (Symbol pred : preds) {
+    const SnapshotImage::Segment& seg = image.AtomsFor(pred);
+    std::vector<size_t> positions = seg.positions;
+    edit(pred, &positions);
+    body += "seg " + pred.name() + " " + std::to_string(seg.size()) + "\nat";
+    for (size_t p : positions) body += " " + std::to_string(p) + "+1";
+    body += "\n" + parser::SerializeAtoms(seg);
+  }
+  return body;
+}
+
+// Rewrites the checksum line of an edited checkpoint file so that the
+// file is CRC-valid again.
+std::string Reseal(std::string file) {
+  const size_t at = file.find("checksum ");
+  const size_t eol = file.find('\n', at);
+  std::string_view view(file);
+  uint32_t crc = Crc32cExtend(Crc32c(view.substr(0, at)), view.substr(eol + 1));
+  char hex[9];
+  std::snprintf(hex, sizeof(hex), "%08x", crc);
+  file.replace(at + 9, 8, hex);
+  return file;
+}
+
+// CRC-valid but malformed v2 delta frames at the newest epoch: each makes
+// recovery skip that chain, fall back to the older delta head and replay
+// the WAL to the exact view. The unedited frame recovers with no skip, so
+// each failure is the edit's doing.
+TEST(DurableLogTest, MalformedPositionsFailTheChainAndRecoveryFallsBack) {
+  const Symbol a("a");
+  struct Case {
+    std::string name;
+    std::function<void(Symbol, std::vector<size_t>*)> edit;
+    uint64_t extra_atoms = 0;  // added to the header's atom count
+    bool v1_magic = false;
+    bool malformed = true;
+  };
+  const uint64_t kEnd = 6;  // atoms at epoch 3: a(1..3) and b(1..3)
+  std::vector<Case> cases = {
+      {"unedited", [](Symbol, std::vector<size_t>*) {}, 0, false, false},
+      {"duplicate position",
+       [&](Symbol p, std::vector<size_t>* ps) {
+         if (p == a) (*ps)[1] = (*ps)[0];
+       }},
+      {"position >= atoms",
+       [&](Symbol p, std::vector<size_t>* ps) {
+         if (p == a) ps->back() = kEnd;
+       }},
+      {"unfilled slot", [](Symbol, std::vector<size_t>*) {}, 1},
+      {"range total != n",
+       [&](Symbol p, std::vector<size_t>* ps) {
+         if (p == a) ps->pop_back();
+       }},
+      {"v1 magic", [](Symbol, std::vector<size_t>*) {}, 0, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    LogWorld w;
+    DurabilityOptions opts;
+    opts.checkpoint_every_records = 1;
+    opts.full_checkpoint_interval = 100;  // ckpt-1, then deltas d2 and d3
+    w.Start(opts);
+    ASSERT_TRUE(w.Apply("a(X) <- X = 2.", /*is_delete=*/false).ok());
+    ASSERT_TRUE(w.Apply("a(X) <- X = 3.", /*is_delete=*/false).ok());
+    SnapshotImageHandle image = w.view.ExtractImage();
+    ASSERT_EQ(image->atom_count, kEnd);
+
+    const std::string path = "state/" + durability::DeltaCheckpointFileName(3);
+    std::string body;
+    durability::DeltaCheckpointMeta meta = Unwrap(
+        durability::DecodeDeltaCheckpoint(Unwrap(w.fs.ReadFile(path)), &body));
+    meta.atoms += c.extra_atoms;
+    std::string file = durability::EncodeDeltaCheckpoint(
+        meta, FrameRelistingEverySegment(*image, c.edit));
+    if (c.v1_magic) {
+      file = Reseal("mmv-checkpoint-delta v1" +
+                    file.substr(file.find('\n')));
+      Status s = durability::DecodeDeltaCheckpoint(file, &body).status();
+      EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+    }
+    ASSERT_TRUE(w.fs.WriteFile(path, file).ok());
+
+    RecoveryInfo info;
+    std::unique_ptr<DurableLog> recovered = Unwrap(DurableLog::Recover(
+        &w.fs, "state", &w.program, w.world.domains.get(), w.fp, nullptr,
+        &info));
+    EXPECT_EQ(info.checkpoints_skipped, c.malformed ? 1 : 0);
+    EXPECT_EQ(info.checkpoint_epoch, c.malformed ? 2u : 3u);
+    EXPECT_EQ(info.replayed_bursts, c.malformed ? 1 : 0);
+    EXPECT_EQ(info.recovered_epoch, 3u);
+    EXPECT_EQ(parser::SerializeView(recovered->TakeRecoveredView()),
+              parser::SerializeView(w.view));
+  }
+}
+
+// Only the 20-digit names the writer produces are durability files. A
+// short-digit name or one whose digits overflow uint64_t is a foreign file:
+// recovery ignores it and garbage collection leaves it alone.
+TEST(DurableLogTest, ForeignNamesBesideTheStateAreIgnoredAndSurviveGc) {
+  const std::string short_ckpt = "ckpt-5.mmv";
+  const std::string overflowing_wal = "wal-18446744073709551617.log";
+  EXPECT_FALSE(durability::ParseCheckpointFileName(short_ckpt).ok());
+  EXPECT_FALSE(durability::ParseWalSegmentFileName(overflowing_wal).ok());
+  EXPECT_FALSE(
+      durability::ParseWalSegmentFileName("wal-99999999999999999999.log")
+          .ok());
+  EXPECT_EQ(Unwrap(durability::ParseWalSegmentFileName(
+                durability::WalSegmentFileName(UINT64_MAX))),
+            UINT64_MAX);
+
+  LogWorld w;
+  DurabilityOptions opts;
+  opts.checkpoint_every_records = 1;
+  opts.full_checkpoint_interval = 1;
+  opts.keep_checkpoints = 1;  // every checkpoint collects what lies below
+  w.Start(opts);
+  ASSERT_TRUE(w.fs.WriteFile("state/" + short_ckpt, "foreign").ok());
+  ASSERT_TRUE(w.fs.WriteFile("state/" + overflowing_wal, "foreign").ok());
+  for (int i = 2; i <= 4; ++i) {
+    ASSERT_TRUE(w.Apply("a(X) <- X = " + std::to_string(i) + ".",
+                        /*is_delete=*/false)
+                    .ok());
+  }
+  EXPECT_TRUE(Unwrap(w.fs.Exists("state/" + short_ckpt)));
+  EXPECT_TRUE(Unwrap(w.fs.Exists("state/" + overflowing_wal)));
+
+  RecoveryInfo info;
+  std::unique_ptr<DurableLog> recovered = Unwrap(DurableLog::Recover(
+      &w.fs, "state", &w.program, w.world.domains.get(), w.fp, nullptr,
+      &info));
+  EXPECT_EQ(info.recovered_epoch, 4u);
+  EXPECT_EQ(CanonicalState(recovered->TakeRecoveredView()),
+            CanonicalState(w.view));
+  EXPECT_TRUE(Unwrap(w.fs.Exists("state/" + short_ckpt)));
+  EXPECT_TRUE(Unwrap(w.fs.Exists("state/" + overflowing_wal)));
 }
 
 TEST(DurableLogTest, RetentionFloorsAtTheOldestRetainedFullImage) {

@@ -207,8 +207,8 @@ std::vector<std::string> AtomStrings(const View& v) {
 }
 
 // An extracted image must match the image of a fresh view built from the
-// same atoms in the same order: same segments in posting order, same
-// global order.
+// same atoms in the same order: same segments in posting order with the
+// same view positions, same global order.
 void ExpectImageMatchesFreshView(const View& v) {
   View fresh;
   for (const ViewAtom& a : v.atoms()) fresh.Add(a);
@@ -219,6 +219,7 @@ void ExpectImageMatchesFreshView(const View& v) {
   for (const auto& [pred, seg] : want->segments) {
     const SnapshotImage::Segment& g = got->AtomsFor(pred);
     ASSERT_EQ(g.size(), seg->size()) << pred;
+    EXPECT_EQ(g.positions, fresh.AtomsFor(pred)) << pred;
     for (size_t i = 0; i < g.size(); ++i) {
       EXPECT_EQ(g[i].ToString(), (*seg)[i].ToString()) << pred << " #" << i;
     }
